@@ -1,50 +1,23 @@
-"""Backend selection for the time-stepping hot loop.
+"""The time-stepping hot loop of the population master equation.
 
-The master-equation march is a strictly sequential O(N^2) convolution and
-dominates runtime.  Two interchangeable implementations exist: a numba
-``@njit`` kernel (default) and a pure-numpy fallback.  Selection is per
-call through the environment variable ``EFFBATH_BACKEND``:
-
-    EFFBATH_BACKEND=numba   force the jit kernel (error if numba missing)
-    EFFBATH_BACKEND=numpy   force the numpy fallback
-    unset / auto            numba when importable, else numpy
-
-Both backends implement the identical recurrence; they differ only in
-summation order, so results agree to roundoff.  ``benchmarks/bench_gme.py``
-compares them.
+The march is a strictly sequential O(N^2) convolution and dominates the
+runtime of long horizons; each step's history sum is one numpy dot
+product over a reversed copy of the kernel.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 _OVERFLOW_GUARD = 1e6
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
 
 def backend_name() -> str:
-    """Resolve the active backend from the environment."""
-    choice = os.environ.get("EFFBATH_BACKEND", "auto").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if _HAVE_NUMBA else "numpy"
-    if choice == "numba":
-        if not _HAVE_NUMBA:
-            raise RuntimeError("EFFBATH_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    raise ValueError(f"unknown EFFBATH_BACKEND value {choice!r}")
+    """Name of the march implementation."""
+    return "numpy"
 
 
-def _march_numpy(h, ks, ka_int, n_steps):
+def march(h, ks, ka_int, n_steps):
     """Product-integration trapezoid march, numpy inner products.
 
     One fixed-point correction of the implicit-trapezoid update per step:
@@ -70,32 +43,3 @@ def _march_numpy(h, ks, ka_int, n_steps):
         p[n + 1] = p_new
         f_prev = f_tilde + half_h * k0 * (p_new - p[n])
     return p, -1
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _march_numba(h, ks, ka_int, n_steps):  # pragma: no cover - jit body
-        p = np.empty(n_steps + 1)
-        p[0] = 1.0
-        f_prev = 0.0
-        half_h = 0.5 * h
-        k0 = ks[0]
-        for n in range(n_steps):
-            conv = 0.5 * ks[n + 1] * p[0]
-            for j in range(1, n + 1):
-                conv += ks[n + 1 - j] * p[j]
-            f_tilde = h * (conv + 0.5 * k0 * p[n]) + ka_int[n + 1]
-            p_new = p[n] - half_h * (f_prev + f_tilde)
-            if not np.isfinite(p_new) or abs(p_new) > _OVERFLOW_GUARD:
-                return p, n + 1
-            p[n + 1] = p_new
-            f_prev = f_tilde + half_h * k0 * (p_new - p[n])
-        return p, -1
-
-
-def march(h, ks, ka_int, n_steps):
-    """Run the selected backend; see ``_march_numpy`` for the contract."""
-    if backend_name() == "numba":
-        return _march_numba(h, ks, ka_int, n_steps)
-    return _march_numpy(h, ks, ka_int, n_steps)

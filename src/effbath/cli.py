@@ -15,22 +15,24 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EffbathError
-from .gme import simulate_population
-from .params import build_params, derived_scales, load_config
+from .gme import DEFAULT_HORIZON_PERIODS, TimeSeries, default_step, simulate_population
+from .params import build_params, load_config
 from .scenarios import (
     FIGURE_PARAMS,
     Scenario,
     StrictRegimeError,
+    check_strict,
+    peak_entries,
     run_scenario,
     scenario_for_figure,
+    wda_entries,
     write_correlation_csv,
     write_csv,
     write_spectral_csv,
     write_summary,
 )
-from .gme import TimeSeries
-from .spectrum import fourier_spectrum, peak_extract
-from .wda import build_wda_spectrum, resonance_analysis, wda_population
+from .spectrum import fourier_spectrum
+from .wda import build_wda_spectrum, wda_population
 
 
 def _add_common(sub):
@@ -97,18 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _strict_check(args, params) -> None:
-    if getattr(args, "strict", False):
-        from .params import regime_flags
-
-        flags = regime_flags(params)
-        if flags:
-            raise StrictRegimeError("; ".join(flags))
-
-
 def _run_spectral(args) -> int:
     params = _params_from(args)
-    _strict_check(args, params)
+    check_strict(params, args.strict)
     args.out.mkdir(parents=True, exist_ok=True)
     write_spectral_csv(args.out / "spectral.csv", params, omega_max=args.omega_max, points=args.points)
     return 0
@@ -116,7 +109,7 @@ def _run_spectral(args) -> int:
 
 def _run_correlation(args) -> int:
     params = _params_from(args)
-    _strict_check(args, params)
+    check_strict(params, args.strict)
     args.out.mkdir(parents=True, exist_ok=True)
     write_correlation_csv(args.out / "correlation.csv", params, tau_max=args.tau_max, points=args.points)
     return 0
@@ -126,7 +119,7 @@ def _run_niba(args) -> int:
     params = _params_from(args)
     if args.alpha_zero:
         params = params.with_alpha(0.0)
-    _strict_check(args, params)
+    check_strict(params, args.strict)
     args.out.mkdir(parents=True, exist_ok=True)
     series = simulate_population(
         params, step=args.step, horizon=args.horizon, correlation=args.correlation
@@ -137,28 +130,14 @@ def _run_niba(args) -> int:
 
 def _run_wda(args) -> int:
     params = _params_from(args)
-    _strict_check(args, params)
+    check_strict(params, args.strict)
     args.out.mkdir(parents=True, exist_ok=True)
-    from .gme import DEFAULT_HORIZON_PERIODS, default_step
-
     step = args.step if args.step is not None else default_step(params)
     horizon = args.horizon if args.horizon is not None else DEFAULT_HORIZON_PERIODS / params.Omega
     spectrum = build_wda_spectrum(params)
     t = step * np.arange(int(round(horizon / step)) + 1)
     write_csv(args.out / "P_wda.csv", ["t", "P"], [t, wda_population(t, spectrum)])
-    report = resonance_analysis(params)
-    write_summary(
-        args.out / "wda_report.txt",
-        {
-            "omega_plus": spectrum.omega_plus,
-            "omega_minus": spectrum.omega_minus,
-            "bs_shift": report["bs_shift"],
-            "kappa_plus": spectrum.kappa_plus,
-            "kappa_minus": spectrum.kappa_minus,
-            "u0_abs": abs(spectrum.u0),
-            "expansion_branch": report["branch"],
-        },
-    )
+    write_summary(args.out / "wda_report.txt", wda_entries(spectrum, params))
     return 0
 
 
@@ -171,13 +150,7 @@ def _run_spectrum(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     write_csv(args.out / "spectrum.csv", ["omega", "magnitude"], [result.omega, result.magnitude])
     if args.peaks > 0:
-        peaks = peak_extract(result, args.peaks)
-        entries = {"fft_bin": result.resolution, "shortage": peaks.shortage}
-        for i, peak in enumerate(sorted(peaks.peaks, key=lambda q: q.omega), start=1):
-            entries[f"peak{i}_omega"] = peak.omega
-            entries[f"peak{i}_height"] = peak.height
-            entries[f"peak{i}_half_width"] = peak.half_width
-        write_summary(args.out / "peaks.txt", entries)
+        write_summary(args.out / "peaks.txt", peak_entries(result, args.peaks))
     return 0
 
 

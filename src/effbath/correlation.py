@@ -63,12 +63,17 @@ class WdaCoefficients:
 
 @dataclass(frozen=True)
 class CorrelationFn:
-    """Evaluator pair S(tau), R(tau) with provenance tag."""
+    """One evaluator ``pair(tau) -> (S, R)`` with provenance tag."""
 
     kind: str  # "quadrature" | "closed-form" | "wda-split"
-    S: Callable
-    R: Callable
+    pair: Callable
     meta: dict = field(default_factory=dict)
+
+    def S(self, tau):
+        return self.pair(tau)[0]
+
+    def R(self, tau):
+        return self.pair(tau)[1]
 
 
 def _sech(x: float) -> float:
@@ -235,39 +240,27 @@ def correlation_quadrature(
     return s_val, r_val
 
 
-def _grid_eval(fn, tau):
-    arr = np.asarray(tau, dtype=float)
-    if arr.ndim == 0:
-        return fn(float(arr))
-    return np.array([fn(float(t)) for t in arr])
-
-
 def closed_form_correlation(p: SystemParams, scales: DerivedScales) -> CorrelationFn:
     """Closed-form evaluator; at gamma = 0 falls back to the undamped limit."""
     if p.gamma == 0.0:
         wda = wda_coefficients(p, scales)
 
-        def s_fn(tau):
-            return wda.Y * (np.cos(scales.Omega1 * np.asarray(tau, dtype=float)) - 1.0)
+        def undamped(tau):
+            phase = scales.Omega1 * np.asarray(tau, dtype=float)
+            return wda.Y * (np.cos(phase) - 1.0), wda.W * np.sin(phase)
 
-        def r_fn(tau):
-            return wda.W * np.sin(scales.Omega1 * np.asarray(tau, dtype=float))
-
-        return CorrelationFn(kind="closed-form", S=s_fn, R=r_fn, meta={"undamped": True})
+        return CorrelationFn(kind="closed-form", pair=undamped, meta={"undamped": True})
 
     coeffs = closed_form_coefficients(p, scales)
-
-    def s_fn(tau):
-        return correlation_closed_form(tau, coeffs, scales)[0]
-
-    def r_fn(tau):
-        return correlation_closed_form(tau, coeffs, scales)[1]
-
-    return CorrelationFn(kind="closed-form", S=s_fn, R=r_fn, meta={"coefficients": coeffs})
+    pair = partial(correlation_closed_form, coeffs=coeffs, scales=scales)
+    return CorrelationFn(kind="closed-form", pair=pair, meta={"coefficients": coeffs})
 
 
 def quadrature_correlation(p: SystemParams, scales: DerivedScales, atol: float = 1e-8) -> CorrelationFn:
-    """Quadrature evaluator of the correlation integrals for these params."""
+    """Quadrature evaluator of the correlation integrals for these params.
+
+    Each tau is integrated once; S and R come out of the same call.
+    """
     geff_fn = partial(geff, p=p, scales=scales)
     width = scales.gammabar if scales.gammabar > 0.0 else 0.05 * scales.Omega1
     one = partial(
@@ -279,25 +272,22 @@ def quadrature_correlation(p: SystemParams, scales: DerivedScales, atol: float =
         peak_width=width,
     )
 
-    def s_fn(tau):
-        return _grid_eval(lambda t: one(t)[0], tau)
+    def pair(tau):
+        arr = np.asarray(tau, dtype=float)
+        if arr.ndim == 0:
+            return one(float(arr))
+        values = np.array([one(float(t)) for t in arr], dtype=float).reshape(-1, 2)
+        return values[:, 0], values[:, 1]
 
-    def r_fn(tau):
-        return _grid_eval(lambda t: one(t)[1], tau)
-
-    return CorrelationFn(kind="quadrature", S=s_fn, R=r_fn, meta={"atol": atol})
+    return CorrelationFn(kind="quadrature", pair=pair, meta={"atol": atol})
 
 
 def wda_correlation(p: SystemParams, scales: DerivedScales) -> CorrelationFn:
     """Weak-damping evaluator S0+S1, R0+R1."""
     coeffs = wda_coefficients(p, scales)
 
-    def s_fn(tau):
-        s0, s1, _, _ = wda_split(tau, coeffs, scales)
-        return s0 + s1
+    def pair(tau):
+        s0, s1, r0, r1 = wda_split(tau, coeffs, scales)
+        return s0 + s1, r0 + r1
 
-    def r_fn(tau):
-        _, _, r0, r1 = wda_split(tau, coeffs, scales)
-        return r0 + r1
-
-    return CorrelationFn(kind="wda-split", S=s_fn, R=r_fn, meta={"coefficients": coeffs})
+    return CorrelationFn(kind="wda-split", pair=pair, meta={"coefficients": coeffs})

@@ -69,23 +69,27 @@ class TimeSeries:
         return self.h * np.arange(self.values.shape[0])
 
 
+def _fastest_frequency(p: SystemParams, scales: DerivedScales) -> float:
+    """Fastest oscillation the kernels carry: Omega1, Delta or |epsilon|."""
+    return max(scales.Omega1, p.Delta, abs(p.epsilon))
+
+
 def default_step(p: SystemParams, scales: DerivedScales | None = None) -> float:
-    """Grid step resolving the fastest of Omega1 and Delta.
+    """Grid step resolving the fastest of Omega1, Delta and |epsilon|.
 
     640 points per period keep the trapezoid phase drift of an undamped
     tunneling oscillation below 1e-3 over a hundred periods.
     """
     if scales is None:
         scales = derived_scales(p)
-    fastest = max(scales.Omega1, p.Delta, abs(p.epsilon), 1e-12)
+    fastest = max(_fastest_frequency(p, scales), 1e-12)
     return 2.0 * math.pi / (_DEFAULT_POINTS_PER_PERIOD * fastest)
 
 
 def niba_kernels(corr: CorrelationFn, delta: float, epsilon: float, h: float, n_steps: int) -> KernelGrid:
     """Sample the kernels on t_n = n*h, n = 0..n_steps."""
     t = h * np.arange(n_steps + 1)
-    s_val = np.asarray(corr.S(t), dtype=float)
-    r_val = np.asarray(corr.R(t), dtype=float)
+    s_val, r_val = corr.pair(t)
     envelope = delta**2 * np.exp(-s_val)
     ks = envelope * np.cos(r_val) * np.cos(epsilon * t)
     ka = envelope * np.sin(r_val) * np.sin(epsilon * t)
@@ -104,7 +108,7 @@ def solve_gme(kernels: KernelGrid) -> TimeSeries:
     p, bad = accel.march(kernels.h, kernels.ks, ka_int, n_steps)
     if bad != -1:
         raise NonFiniteStateError(f"population trace left the finite range at step {bad}")
-    return TimeSeries(h=kernels.h, values=p, meta={"backend": accel.backend_name(), "order": 2})
+    return TimeSeries(h=kernels.h, values=p, meta={"order": 2})
 
 
 def simulate_population(
@@ -118,8 +122,8 @@ def simulate_population(
     """Full pipeline: correlation function -> kernels -> P(t).
 
     ``correlation`` selects the evaluator ("closed" by default,
-    "quadrature" for validation runs).  The step must resolve both Omega1
-    and Delta with at least 40 points per period.
+    "quadrature" for validation runs).  The step must resolve Omega1,
+    Delta and |epsilon| with at least 40 points per period.
     """
     if scales is None:
         scales = derived_scales(p)
@@ -129,10 +133,10 @@ def simulate_population(
         horizon = DEFAULT_HORIZON_PERIODS / p.Omega
 
     limit = 2.0 * math.pi / _MIN_POINTS_PER_PERIOD
-    if step * scales.Omega1 > limit or step * p.Delta > limit:
+    if step * _fastest_frequency(p, scales) > limit:
         raise StepTooLargeError(
             f"step {step:.4g} does not resolve the fastest oscillation; "
-            f"need h*max(Omega1, Delta) <= {limit:.4g}"
+            f"need h*max(Omega1, Delta, |epsilon|) <= {limit:.4g}"
         )
 
     if correlation == "closed":

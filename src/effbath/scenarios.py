@@ -34,7 +34,7 @@ from .spectral import (
     susceptibility_imag,
 )
 from .params import convert_couplings
-from .spectrum import fourier_spectrum, peak_extract
+from .spectrum import SpectrumResult, fourier_spectrum, peak_extract
 from .wda import build_wda_spectrum, resonance_analysis, wda_population
 
 __all__ = [
@@ -171,9 +171,10 @@ def _base_summary(sc: Scenario) -> dict:
     return entries
 
 
-def _check_strict(sc: Scenario) -> None:
-    if sc.strict:
-        flags = regime_flags(sc.params)
+def check_strict(p: SystemParams, strict: bool) -> None:
+    """Raise StrictRegimeError if ``strict`` is set and a regime flag is violated."""
+    if strict:
+        flags = regime_flags(p)
         if flags:
             raise StrictRegimeError("; ".join(flags))
 
@@ -202,14 +203,13 @@ def write_spectral_csv(path: Path, p: SystemParams, omega_max: float = 3.0, poin
 def write_correlation_csv(path: Path, p: SystemParams, tau_max: float = 30.0, points: int = 121) -> None:
     scales = derived_scales(p)
     tau = np.linspace(0.0, tau_max / p.Omega, points)
-    quad = quadrature_correlation(p, scales)
-    closed = closed_form_correlation(p, scales)
-    coeffs = wda_coefficients(p, scales)
-    s0, s1, r0, r1 = wda_split(tau, coeffs, scales)
+    s_quad, r_quad = quadrature_correlation(p, scales).pair(tau)
+    s_closed, r_closed = closed_form_correlation(p, scales).pair(tau)
+    s0, s1, r0, r1 = wda_split(tau, wda_coefficients(p, scales), scales)
     write_csv(
         path,
         ["tau", "S_quad", "R_quad", "S_closed", "R_closed", "S0", "S1", "R0", "R1"],
-        [tau, quad.S(tau), quad.R(tau), closed.S(tau), closed.R(tau), s0, s1, r0, r1],
+        [tau, s_quad, r_quad, s_closed, r_closed, s0, s1, r0, r1],
     )
 
 
@@ -226,19 +226,24 @@ def _population_pair(sc: Scenario, params: SystemParams):
     return series, analytic, spectrum
 
 
-def _peak_entries(prefix: str, series: TimeSeries, sc: Scenario) -> dict:
-    result = fourier_spectrum(series, window=sc.window, zero_pad_factor=sc.pad_factor)
-    peaks = peak_extract(result, sc.n_peaks)
-    entries = {f"{prefix}_fft_bin": result.resolution}
+def _spectrum(series: TimeSeries, sc: Scenario) -> SpectrumResult:
+    return fourier_spectrum(series, window=sc.window, zero_pad_factor=sc.pad_factor)
+
+
+def peak_entries(result: SpectrumResult, k: int, prefix: str = "") -> dict:
+    """Summary entries for the top-k peaks of a spectrum, in ascending frequency."""
+    peaks = peak_extract(result, k)
+    entries = {f"{prefix}fft_bin": result.resolution}
     for i, peak in enumerate(sorted(peaks.peaks, key=lambda q: q.omega), start=1):
-        entries[f"{prefix}_peak{i}_omega"] = peak.omega
-        entries[f"{prefix}_peak{i}_height"] = peak.height
-        entries[f"{prefix}_peak{i}_half_width"] = peak.half_width
-    entries[f"{prefix}_peak_shortage"] = peaks.shortage
+        entries[f"{prefix}peak{i}_omega"] = peak.omega
+        entries[f"{prefix}peak{i}_height"] = peak.height
+        entries[f"{prefix}peak{i}_half_width"] = peak.half_width
+    entries[f"{prefix}peak_shortage"] = peaks.shortage
     return entries
 
 
-def _wda_entries(spectrum, p: SystemParams) -> dict:
+def wda_entries(spectrum, p: SystemParams) -> dict:
+    """Summary entries of the weak-damping solution for these params."""
     report = resonance_analysis(p)
     return {
         "omega_plus": spectrum.omega_plus,
@@ -259,7 +264,7 @@ def run_scenario(sc: Scenario) -> dict:
     Returns a mapping of artifact names to paths; the summary dictionary
     is included under the key "summary_entries".
     """
-    _check_strict(sc)
+    check_strict(sc.params, sc.strict)
     outdir = Path(sc.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     p = sc.params
@@ -279,7 +284,7 @@ def run_scenario(sc: Scenario) -> dict:
 
     elif sc.tag in ("fig3", "fig5", "fig4", "fig6", "custom"):
         series, analytic, spectrum = _population_pair(sc, p)
-        summary.update(_wda_entries(spectrum, p))
+        summary.update(wda_entries(spectrum, p))
         if sc.tag in ("fig3", "fig5", "custom"):
             niba_path = outdir / "P_niba.csv"
             wda_path = outdir / "P_wda.csv"
@@ -287,9 +292,9 @@ def run_scenario(sc: Scenario) -> dict:
             write_csv(wda_path, ["t", "P"], [analytic.times, analytic.values])
             written["P_niba"] = niba_path
             written["P_wda"] = wda_path
+        niba_result = _spectrum(series, sc)
         if sc.tag in ("fig4", "fig6", "custom"):
-            for label, trace in (("niba", series), ("wda", analytic)):
-                result = fourier_spectrum(trace, window=sc.window, zero_pad_factor=sc.pad_factor)
+            for label, result in (("niba", niba_result), ("wda", _spectrum(analytic, sc))):
                 path = outdir / f"spectrum_{label}.csv"
                 write_csv(path, ["omega", "magnitude"], [result.omega, result.magnitude])
                 written[f"spectrum_{label}"] = path
@@ -297,28 +302,27 @@ def run_scenario(sc: Scenario) -> dict:
             path = outdir / "spectral.csv"
             write_spectral_csv(path, p)
             written["spectral"] = path
-        summary.update(_peak_entries("niba", series, sc))
+        summary.update(peak_entries(niba_result, sc.n_peaks, "niba_"))
 
     elif sc.tag in ("fig7", "fig8"):
         variants = [("nonlinear", p), ("linear", p.with_alpha(0.0))]
         with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            futures = [(label, pool.submit(_population_pair, sc, prm)) for label, prm in variants]
-            results = [(label, fut.result()) for label, fut in futures]  # fixed merge order
-        for label, (series, analytic, spectrum) in results:
+            futures = [pool.submit(_population_pair, sc, prm) for _, prm in variants]
+            results = [fut.result() for fut in futures]  # fixed merge order
+        for (label, prm), (series, analytic, spectrum) in zip(variants, results):
+            result = _spectrum(series, sc)
             if sc.tag == "fig7":
                 for kind, trace in (("niba", series), ("wda", analytic)):
                     path = outdir / f"P_{kind}_{label}.csv"
                     write_csv(path, ["t", "P"], [trace.times, trace.values])
                     written[f"P_{kind}_{label}"] = path
             else:
-                result = fourier_spectrum(series, window=sc.window, zero_pad_factor=sc.pad_factor)
                 path = outdir / f"spectrum_niba_{label}.csv"
                 write_csv(path, ["omega", "magnitude"], [result.omega, result.magnitude])
                 written[f"spectrum_niba_{label}"] = path
-            for key, value in _wda_entries(spectrum, series_params(label, p)).items():
+            for key, value in wda_entries(spectrum, prm).items():
                 summary[f"{label}_{key}"] = value
-            for key, value in _peak_entries(label, series, sc).items():
-                summary[key] = value
+            summary.update(peak_entries(result, sc.n_peaks, f"{label}_"))
     else:
         raise ValueError(f"unknown scenario tag {sc.tag!r}")
 
@@ -327,7 +331,3 @@ def run_scenario(sc: Scenario) -> dict:
     written["summary"] = summary_path
     written["summary_entries"] = summary
     return written
-
-
-def series_params(label: str, p: SystemParams) -> SystemParams:
-    return p if label == "nonlinear" else p.with_alpha(0.0)

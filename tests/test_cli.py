@@ -76,6 +76,25 @@ def test_figure_fig3_bundle(tmp_path):
     assert float(summary["weight_plus"]) + float(summary["weight_minus"]) == 1.0
 
 
+def test_cli_reports_match_the_figure_summary(tmp_path):
+    def entries(path):
+        return dict(line.split("=") for line in path.read_text().splitlines())
+
+    fig3 = tmp_path / "fig3"
+    assert main(["figure", "fig3", "--out", str(fig3)]) == 0
+    assert main(["spectrum", str(fig3 / "P_niba.csv"), "--out", str(tmp_path / "spectrum"),
+                 "--pad", "8", "--peaks", "2"]) == 0
+    assert main(["wda", "--out", str(tmp_path / "wda")]) == 0
+    summary = entries(fig3 / "summary.txt")
+    peaks = entries(tmp_path / "spectrum" / "peaks.txt")
+    assert list(peaks) == ["fft_bin", "peak1_omega", "peak1_height", "peak1_half_width",
+                           "peak2_omega", "peak2_height", "peak2_half_width", "peak_shortage"]
+    assert peaks == {key: summary[f"niba_{key}"] for key in peaks}
+    report = entries(tmp_path / "wda" / "wda_report.txt")
+    assert report == {key: summary[key] for key in report}
+    assert float(report["weight_plus"]) + float(report["weight_minus"]) == 1.0
+
+
 def test_figure_fig8_twin_spectra(tmp_path, monkeypatch):
     monkeypatch.setenv("EFFBATH_THREADS", "2")
     assert main(["figure", "fig8", "--out", str(tmp_path)]) == 0

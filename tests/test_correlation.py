@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from effbath import correlation
 from effbath.correlation import (
     closed_form_coefficients,
     closed_form_correlation,
@@ -13,7 +14,9 @@ from effbath.correlation import (
     wda_split,
 )
 from effbath.errors import QuadratureNonConvergence, ZeroDampingError
+from effbath.gme import niba_kernels
 from effbath.params import build_params, derived_scales
+from effbath.scenarios import write_correlation_csv
 
 FIG3 = {"Omega": 1, "alpha": 0.02, "g": 0.18, "gamma_over_2piOmega": 0.0154,
         "beta": 10, "Delta": 1, "epsilon": 0}
@@ -112,6 +115,22 @@ def test_quadrature_vs_closed_form_single_point(fig3_params, fig3_scales):
     bound = 0.02 * max(abs(s_q), abs(r_q)) + matsubara_envelope(fig3_params, fig3_scales)
     assert abs(float(closed.S(tau)) - s_q) <= bound
     assert abs(float(closed.R(tau)) - r_q) <= bound
+
+
+def test_quadrature_integrates_each_tau_once(fig3_params, fig3_scales, monkeypatch, tmp_path):
+    calls = []
+    original = correlation.correlation_quadrature
+
+    def counted(tau, *args, **kwargs):
+        calls.append(tau)
+        return original(tau, *args, **kwargs)
+
+    monkeypatch.setattr(correlation, "correlation_quadrature", counted)
+    niba_kernels(quadrature_correlation(fig3_params, fig3_scales), fig3_params.Delta, 0.0, 0.1, 4)
+    assert len(calls) == 5
+    calls.clear()
+    write_correlation_csv(tmp_path / "correlation.csv", fig3_params, points=7)
+    assert len(calls) == 7
 
 
 def test_quadrature_nonconvergence_reports_achieved(fig3_params, fig3_scales):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from effbath import accel
 from effbath.correlation import closed_form_correlation
 from effbath.errors import NonFiniteStateError, StepTooLargeError
 from effbath.gme import (
@@ -14,6 +13,7 @@ from effbath.gme import (
     solve_gme,
 )
 from effbath.params import build_params, derived_scales
+from effbath.scenarios import FIGURE_PARAMS
 
 
 def test_kernels_decoupled_limit(free_params):
@@ -85,6 +85,16 @@ def test_step_too_large(fig3_params):
         simulate_population(fig3_params, step=1.0, horizon=10.0)
 
 
+def test_step_too_large_for_bias(fig3_params):
+    # h resolves Omega1 and Delta with 40 points per period but samples
+    # cos(epsilon*t) at only 16
+    biased = build_params({**FIGURE_PARAMS["fig3"], "epsilon": 2.5})
+    step = 2.0 * math.pi / (40 * 2.0)
+    assert step * max(derived_scales(biased).Omega1, biased.Delta) < 2.0 * math.pi / 40
+    with pytest.raises(StepTooLargeError, match="epsilon"):
+        simulate_population(biased, step=step, horizon=1.0)
+
+
 def test_non_finite_state_guard():
     # a negative constant kernel makes the trace grow like cosh and must trip
     # the divergence guard instead of overflowing silently
@@ -96,26 +106,6 @@ def test_non_finite_state_guard():
 def test_unknown_correlation_choice(fig3_params):
     with pytest.raises(ValueError, match="correlation"):
         simulate_population(fig3_params, correlation="bogus")
-
-
-def test_backends_agree(fig3_params, fig3_scales, monkeypatch):
-    corr = closed_form_correlation(fig3_params, fig3_scales)
-    grid = niba_kernels(corr, fig3_params.Delta, 0.0, default_step(fig3_params), 1500)
-    monkeypatch.setenv("EFFBATH_BACKEND", "numpy")
-    a = solve_gme(grid)
-    assert a.meta["backend"] == "numpy"
-    monkeypatch.setenv("EFFBATH_BACKEND", "numba")
-    b = solve_gme(grid)
-    assert b.meta["backend"] == "numba"
-    np.testing.assert_allclose(a.values, b.values, rtol=0.0, atol=1e-12)
-
-
-def test_backend_selection(monkeypatch):
-    monkeypatch.delenv("EFFBATH_BACKEND", raising=False)
-    assert accel.backend_name() in ("numba", "numpy")
-    monkeypatch.setenv("EFFBATH_BACKEND", "bogus")
-    with pytest.raises(ValueError):
-        accel.backend_name()
 
 
 def test_deterministic_resolve(fig3_params):
