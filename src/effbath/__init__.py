@@ -4,52 +4,14 @@ The package maps the composite qubit / nonlinear-oscillator / Ohmic-bath
 system onto a qubit coupled to a single structured bath, evaluates the
 bath correlation function, integrates the resulting master equation for
 the population difference, and provides the matching weak-damping
-analytic solution plus Fourier diagnostics.
+analytic solution plus Fourier diagnostics.  The names below are the
+pipeline's entry points; the building blocks live in the submodules.
 """
 
-from .params import (
-    DerivedScales,
-    SystemParams,
-    build_params,
-    convert_couplings,
-    derived_scales,
-    load_config,
-    scaled_couplings_from_bare,
-)
-from .spectral import (
-    effective_damping,
-    geff,
-    linear_effective_density,
-    nonlinear_effective_density,
-    ohmic_density,
-    susceptibility_from_response,
-    susceptibility_imag,
-)
-from .correlation import (
-    CorrelationFn,
-    closed_form_coefficients,
-    closed_form_correlation,
-    correlation_closed_form,
-    correlation_quadrature,
-    quadrature_correlation,
-    wda_coefficients,
-    wda_correlation,
-    wda_split,
-)
-from .gme import KernelGrid, TimeSeries, niba_kernels, simulate_population, solve_gme
-from .wda import (
-    WdaSpectrum,
-    bloch_siegert_shift,
-    build_wda_spectrum,
-    decay_rates,
-    effective_tunneling,
-    first_order_pole,
-    kernel_laplace,
-    pole_frequencies,
-    resonance_analysis,
-    wda_population,
-)
-from .spectrum import SpectrumResult, fourier_spectrum, peak_extract
-from .scenarios import Scenario, run_scenario, scenario_for_figure
+from .params import SystemParams, build_params, derived_scales, load_config
+from .gme import simulate_population
+from .wda import build_wda_spectrum, wda_population
+from .spectrum import fourier_spectrum, peak_extract
+from .scenarios import run_scenario, scenario_for_figure
 
 __version__ = "0.1.0"

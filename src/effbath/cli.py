@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EffbathError
-from .gme import DEFAULT_HORIZON_PERIODS, TimeSeries, default_step, simulate_population
+from .errors import EffbathError, TooShortError
+from .gme import TimeSeries, simulate_population, time_grid
 from .params import build_params, load_config
 from .scenarios import (
     FIGURE_PARAMS,
@@ -48,13 +48,6 @@ def _params_from(args):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="effbath", description=__doc__)
-    # global forms of the common flags; the per-subcommand forms win
-    parser.add_argument("--config", type=Path, default=None, dest="config_global",
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--out", type=Path, default=None, dest="out_global",
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--strict", action="store_true", dest="strict_global",
-                        help=argparse.SUPPRESS)
     commands = parser.add_subparsers(dest="command", required=True)
 
     sub = commands.add_parser("spectral", help="spectral densities CSV")
@@ -132,10 +125,9 @@ def _run_wda(args) -> int:
     params = _params_from(args)
     check_strict(params, args.strict)
     args.out.mkdir(parents=True, exist_ok=True)
-    step = args.step if args.step is not None else default_step(params)
-    horizon = args.horizon if args.horizon is not None else DEFAULT_HORIZON_PERIODS / params.Omega
+    step, n_steps = time_grid(params, step=args.step, horizon=args.horizon)
     spectrum = build_wda_spectrum(params)
-    t = step * np.arange(int(round(horizon / step)) + 1)
+    t = step * np.arange(n_steps + 1)
     write_csv(args.out / "P_wda.csv", ["t", "P"], [t, wda_population(t, spectrum)])
     write_summary(args.out / "wda_report.txt", wda_entries(spectrum, params))
     return 0
@@ -143,8 +135,10 @@ def _run_wda(args) -> int:
 
 def _run_spectrum(args) -> int:
     data = np.genfromtxt(args.input, delimiter=",", names=True)
-    t = np.asarray(data["t"], dtype=float)
-    values = np.asarray(data["P"], dtype=float)
+    t = np.atleast_1d(np.asarray(data["t"], dtype=float))
+    values = np.atleast_1d(np.asarray(data["P"], dtype=float))
+    if t.size < 2:
+        raise TooShortError(f"{args.input} holds {t.size} samples; a step needs at least 2")
     series = TimeSeries(h=float(t[1] - t[0]), values=values)
     result = fourier_spectrum(series, window=args.window, zero_pad_factor=max(args.pad, 1))
     args.out.mkdir(parents=True, exist_ok=True)
@@ -162,8 +156,7 @@ def _run_figure(args) -> int:
 
 def _run_custom(args) -> int:
     params = build_params(load_config(args.config))
-    sc = Scenario(name="custom", params=params, tag="custom", outdir=args.out, strict=args.strict)
-    run_scenario(sc)
+    run_scenario(Scenario("custom", params, args.out, args.strict))
     return 0
 
 
@@ -178,20 +171,8 @@ _RUNNERS = {
 }
 
 
-def _merge_global_flags(args) -> None:
-    if getattr(args, "config", None) is None and args.config_global is not None:
-        args.config = args.config_global
-    if args.out_global is not None and (
-        not hasattr(args, "out") or args.out in (None, Path("effbath_out"))
-    ):
-        args.out = args.out_global
-    if args.strict_global and hasattr(args, "strict"):
-        args.strict = True
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _merge_global_flags(args)
     try:
         return _RUNNERS[args.command](args)
     except StrictRegimeError as exc:

@@ -32,6 +32,7 @@ __all__ = [
     "KernelGrid",
     "TimeSeries",
     "default_step",
+    "time_grid",
     "niba_kernels",
     "solve_gme",
     "simulate_population",
@@ -40,7 +41,7 @@ __all__ = [
 # points per period of the fastest retained oscillation
 _DEFAULT_POINTS_PER_PERIOD = 640
 _MIN_POINTS_PER_PERIOD = 40
-DEFAULT_HORIZON_PERIODS = 100.0  # horizon in units of 1/Omega
+_DEFAULT_HORIZON_PERIODS = 100.0  # horizon in units of 1/Omega
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,24 @@ def default_step(p: SystemParams, scales: DerivedScales | None = None) -> float:
     return 2.0 * math.pi / (_DEFAULT_POINTS_PER_PERIOD * fastest)
 
 
+def time_grid(
+    p: SystemParams,
+    scales: DerivedScales | None = None,
+    step: float | None = None,
+    horizon: float | None = None,
+) -> tuple[float, int]:
+    """Step h and step count n of the grid t_k = k*h, k = 0..n, for a run.
+
+    Defaults to ``default_step`` and a horizon of 100/Omega; the horizon
+    is rounded to a whole number of steps, at least one.
+    """
+    if step is None:
+        step = default_step(p, scales)
+    if horizon is None:
+        horizon = _DEFAULT_HORIZON_PERIODS / p.Omega
+    return step, max(int(round(horizon / step)), 1)
+
+
 def niba_kernels(corr: CorrelationFn, delta: float, epsilon: float, h: float, n_steps: int) -> KernelGrid:
     """Sample the kernels on t_n = n*h, n = 0..n_steps."""
     t = h * np.arange(n_steps + 1)
@@ -117,7 +136,6 @@ def simulate_population(
     step: float | None = None,
     horizon: float | None = None,
     correlation: str = "closed",
-    quadrature_atol: float = 1e-8,
 ) -> TimeSeries:
     """Full pipeline: correlation function -> kernels -> P(t).
 
@@ -127,10 +145,7 @@ def simulate_population(
     """
     if scales is None:
         scales = derived_scales(p)
-    if step is None:
-        step = default_step(p, scales)
-    if horizon is None:
-        horizon = DEFAULT_HORIZON_PERIODS / p.Omega
+    step, n_steps = time_grid(p, scales, step, horizon)
 
     limit = 2.0 * math.pi / _MIN_POINTS_PER_PERIOD
     if step * _fastest_frequency(p, scales) > limit:
@@ -142,12 +157,11 @@ def simulate_population(
     if correlation == "closed":
         corr = closed_form_correlation(p, scales)
     elif correlation == "quadrature":
-        corr = quadrature_correlation(p, scales, atol=quadrature_atol)
+        corr = quadrature_correlation(p, scales)
     else:
         raise ValueError(f"unknown correlation evaluator {correlation!r}")
 
-    n_steps = max(int(round(horizon / step)), 1)
     kernels = niba_kernels(corr, p.Delta, p.epsilon, step, n_steps)
     series = solve_gme(kernels)
-    series.meta.update({"correlation": corr.kind, "step": step, "horizon": horizon})
+    series.meta.update({"correlation": corr.kind, "step": step, "horizon": n_steps * step})
     return series

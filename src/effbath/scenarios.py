@@ -8,23 +8,16 @@ are byte-identical.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .correlation import (
-    closed_form_correlation,
-    quadrature_correlation,
-    wda_correlation,
-    wda_split,
-    wda_coefficients,
-)
+from .correlation import closed_form_correlation, quadrature_correlation, wda_coefficients, wda_split
 from .errors import EffbathError
 from .gme import TimeSeries, simulate_population
-from .params import SystemParams, build_params, derived_scales, regime_flags
+from .params import SystemParams, build_params, convert_couplings, derived_scales, regime_flags
 from .spectral import (
     density_peak,
     geff,
@@ -33,18 +26,15 @@ from .spectral import (
     ohmic_density,
     susceptibility_imag,
 )
-from .params import convert_couplings
 from .spectrum import SpectrumResult, fourier_spectrum, peak_extract
-from .wda import build_wda_spectrum, resonance_analysis, wda_population
+from .wda import bloch_siegert_shift, build_wda_spectrum, expansion_branch, wda_population
 
 __all__ = [
     "FIGURE_PARAMS",
-    "FIGURE_TAGS",
     "Scenario",
     "StrictRegimeError",
     "scenario_for_figure",
     "run_scenario",
-    "worker_count",
 ]
 
 _FIG3 = {
@@ -81,45 +71,31 @@ FIGURE_PARAMS = {
     "fig7": _FIG3,
     "fig8": _FIG3,
 }
-FIGURE_TAGS = tuple(FIGURE_PARAMS) + ("custom",)
 
 
 class StrictRegimeError(EffbathError):
     """Raised when --strict is set and a regime flag is violated."""
 
 
+# every spectrum is zero padded 8x and summarized by its two tallest peaks
+_PAD_FACTOR = 8
+_N_PEAKS = 2
+
+
 @dataclass(frozen=True)
 class Scenario:
-    name: str
+    """One run of the pipeline: a figure tag (or "custom") on its params."""
+
+    tag: str
     params: SystemParams
-    tag: str = "custom"
-    outdir: Path = Path("effbath_out")
-    step: float | None = None
-    horizon: float | None = None
-    correlation: str = "closed"
-    window: str = "none"
-    pad_factor: int = 8
-    n_peaks: int = 2
+    outdir: Path
     strict: bool = False
-    extras: dict = field(default_factory=dict)
 
 
-def worker_count() -> int:
-    """Worker cap for concurrent twin runs (EFFBATH_THREADS, default 2)."""
-    raw = os.environ.get("EFFBATH_THREADS", "").strip()
-    if not raw:
-        return 2
-    count = int(raw)
-    if count < 1:
-        raise ValueError("EFFBATH_THREADS must be >= 1")
-    return count
-
-
-def scenario_for_figure(tag: str, outdir, strict: bool = False, **overrides) -> Scenario:
+def scenario_for_figure(tag: str, outdir, strict: bool = False) -> Scenario:
     if tag not in FIGURE_PARAMS:
         raise ValueError(f"unknown figure tag {tag!r}; expected one of {sorted(FIGURE_PARAMS)}")
-    params = build_params(FIGURE_PARAMS[tag])
-    return Scenario(name=tag, params=params, tag=tag, outdir=Path(outdir), strict=strict, **overrides)
+    return Scenario(tag, build_params(FIGURE_PARAMS[tag]), Path(outdir), strict)
 
 
 def _fmt(value) -> str:
@@ -148,7 +124,7 @@ def _base_summary(sc: Scenario) -> dict:
     p = sc.params
     scales = derived_scales(p)
     entries = {
-        "scenario": sc.name,
+        "scenario": sc.tag,
         "tag": sc.tag,
         "Omega": p.Omega,
         "M": p.M,
@@ -213,21 +189,16 @@ def write_correlation_csv(path: Path, p: SystemParams, tau_max: float = 30.0, po
     )
 
 
-def _population_pair(sc: Scenario, params: SystemParams):
+def _population_pair(params: SystemParams):
     """NIBA trace and the matching analytic trace on the same grid."""
-    series = simulate_population(
-        params,
-        step=sc.step,
-        horizon=sc.horizon,
-        correlation=sc.correlation,
-    )
+    series = simulate_population(params)
     spectrum = build_wda_spectrum(params)
     analytic = TimeSeries(h=series.h, values=wda_population(series.times, spectrum), meta={"kind": "wda"})
     return series, analytic, spectrum
 
 
-def _spectrum(series: TimeSeries, sc: Scenario) -> SpectrumResult:
-    return fourier_spectrum(series, window=sc.window, zero_pad_factor=sc.pad_factor)
+def _spectrum(series: TimeSeries) -> SpectrumResult:
+    return fourier_spectrum(series, zero_pad_factor=_PAD_FACTOR)
 
 
 def peak_entries(result: SpectrumResult, k: int, prefix: str = "") -> dict:
@@ -244,11 +215,10 @@ def peak_entries(result: SpectrumResult, k: int, prefix: str = "") -> dict:
 
 def wda_entries(spectrum, p: SystemParams) -> dict:
     """Summary entries of the weak-damping solution for these params."""
-    report = resonance_analysis(p)
     return {
         "omega_plus": spectrum.omega_plus,
         "omega_minus": spectrum.omega_minus,
-        "bs_shift": report["bs_shift"],
+        "bs_shift": bloch_siegert_shift(p),
         "kappa_plus": spectrum.kappa_plus,
         "kappa_minus": spectrum.kappa_minus,
         "u0_abs": abs(spectrum.u0),
@@ -256,7 +226,7 @@ def wda_entries(spectrum, p: SystemParams) -> dict:
         "weight_minus": spectrum.weight_minus,
         "sine_plus": spectrum.sine_plus,
         "sine_minus": spectrum.sine_minus,
-        "expansion_branch": report["branch"],
+        "expansion_branch": expansion_branch(p),
     }
 
 
@@ -285,7 +255,7 @@ def run_scenario(sc: Scenario) -> dict:
         written["spectral"] = path
 
     elif sc.tag in ("fig3", "fig5", "fig4", "fig6", "custom"):
-        series, analytic, spectrum = _population_pair(sc, p)
+        series, analytic, spectrum = _population_pair(p)
         summary.update(wda_entries(spectrum, p))
         if sc.tag in ("fig3", "fig5", "custom"):
             niba_path = outdir / "P_niba.csv"
@@ -294,9 +264,9 @@ def run_scenario(sc: Scenario) -> dict:
             write_csv(wda_path, ["t", "P"], [analytic.times, analytic.values])
             written["P_niba"] = niba_path
             written["P_wda"] = wda_path
-        niba_result = _spectrum(series, sc)
+        niba_result = _spectrum(series)
         if sc.tag in ("fig4", "fig6", "custom"):
-            for label, result in (("niba", niba_result), ("wda", _spectrum(analytic, sc))):
+            for label, result in (("niba", niba_result), ("wda", _spectrum(analytic))):
                 path = outdir / f"spectrum_{label}.csv"
                 write_csv(path, ["omega", "magnitude"], [result.omega, result.magnitude])
                 written[f"spectrum_{label}"] = path
@@ -304,15 +274,15 @@ def run_scenario(sc: Scenario) -> dict:
             path = outdir / "spectral.csv"
             write_spectral_csv(path, p)
             written["spectral"] = path
-        summary.update(peak_entries(niba_result, sc.n_peaks, "niba_"))
+        summary.update(peak_entries(niba_result, _N_PEAKS, "niba_"))
 
     elif sc.tag in ("fig7", "fig8"):
         variants = [("nonlinear", p), ("linear", p.with_alpha(0.0))]
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            futures = [pool.submit(_population_pair, sc, prm) for _, prm in variants]
+        with ThreadPoolExecutor(max_workers=len(variants)) as pool:
+            futures = [pool.submit(_population_pair, prm) for _, prm in variants]
             results = [fut.result() for fut in futures]  # fixed merge order
         for (label, prm), (series, analytic, spectrum) in zip(variants, results):
-            result = _spectrum(series, sc)
+            result = _spectrum(series)
             if sc.tag == "fig7":
                 for kind, trace in (("niba", series), ("wda", analytic)):
                     path = outdir / f"P_{kind}_{label}.csv"
@@ -324,7 +294,7 @@ def run_scenario(sc: Scenario) -> dict:
                 written[f"spectrum_niba_{label}"] = path
             for key, value in wda_entries(spectrum, prm).items():
                 summary[f"{label}_{key}"] = value
-            summary.update(peak_entries(result, sc.n_peaks, f"{label}_"))
+            summary.update(peak_entries(result, _N_PEAKS, f"{label}_"))
     else:
         raise ValueError(f"unknown scenario tag {sc.tag!r}")
 

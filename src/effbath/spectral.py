@@ -9,8 +9,6 @@ agreement is the core mapping statement of the model.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.optimize import minimize_scalar
 
@@ -118,17 +116,14 @@ def susceptibility_from_response(amplitude, phase, drive):
     return (amplitude / drive) * np.exp(-1j * phase)
 
 
-def density_peak(density, lo=0.0, hi=None, coarse_step=None, Omega=1.0):
+def density_peak(density, Omega=1.0):
     """Location and height of the (unimodal) maximum of ``density``.
 
-    Coarse scan with step Omega/2000 over (lo, hi], then golden-section
+    Coarse scan with step Omega/2000 over (0, 2*Omega], then golden-section
     refinement around the best grid point.
     """
-    if hi is None:
-        hi = 2.0 * Omega
-    if coarse_step is None:
-        coarse_step = Omega / 2000.0
-    grid = np.arange(lo + coarse_step, hi + 0.5 * coarse_step, coarse_step)
+    step = Omega / 2000.0
+    grid = np.arange(step, 2.0 * Omega + 0.5 * step, step)
     values = np.asarray(density(grid), dtype=float)
     i = int(np.argmax(values))
     if 0 < i < grid.size - 1:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,6 +12,8 @@ from .gme import TimeSeries
 __all__ = ["SpectrumResult", "Peak", "PeakSet", "fourier_spectrum", "peak_extract"]
 
 _MIN_SAMPLES = 64
+# maxima below this fraction of the global maximum are numerical dust
+_MIN_REL_HEIGHT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -110,21 +112,21 @@ def _half_width(omega: np.ndarray, mag: np.ndarray, i: int) -> float:
     return 0.5 * float(omega[right] - omega[left])
 
 
-def peak_extract(spectrum: SpectrumResult, k: int, min_rel_height: float = 1e-6) -> PeakSet:
+def peak_extract(spectrum: SpectrumResult, k: int) -> PeakSet:
     """Top-k local maxima of the magnitude, tallest first.
 
     Each peak is refined by quadratic interpolation over three bins.
-    Maxima below ``min_rel_height`` of the global maximum are treated as
-    numerical dust and ignored.  If fewer than k maxima exist the
-    available ones are returned with the shortage flag set; an empty
-    spectrum raises NoPeaksError.
+    Maxima below 1e-6 of the global maximum are treated as numerical
+    dust and ignored.  If fewer than k maxima exist the available ones
+    are returned with the shortage flag set; an empty spectrum raises
+    NoPeaksError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     mag = spectrum.magnitude
     interior = (mag[1:-1] > mag[:-2]) & (mag[1:-1] >= mag[2:])
     indices = np.nonzero(interior)[0] + 1
-    indices = indices[mag[indices] >= min_rel_height * mag.max()]
+    indices = indices[mag[indices] >= _MIN_REL_HEIGHT * mag.max()]
     if indices.size == 0:
         raise NoPeaksError("no local maxima in magnitude spectrum")
     order = np.argsort(mag[indices])[::-1]

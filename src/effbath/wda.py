@@ -41,6 +41,7 @@ __all__ = [
     "build_wda_spectrum",
     "wda_population",
     "bloch_siegert_shift",
+    "expansion_branch",
     "resonance_analysis",
     "truncation_ratio_n2",
 ]
@@ -64,13 +65,7 @@ class WdaSpectrum:
     """Everything needed to evaluate the analytic population trace."""
 
     u0: complex
-    delta0c: float
-    delta1c: float
-    delta1s: float
-    omega1: float
     gamma: float
-    lambda2_plus: float
-    lambda2_minus: float
     omega_plus: float
     omega_minus: float
     kappa_plus: float
@@ -293,14 +288,12 @@ def first_order_pole(
     return r0 * shift / gamma, sine
 
 
-def build_wda_spectrum(
-    p: SystemParams, scales: DerivedScales | None = None, strict: bool = False
-) -> WdaSpectrum:
+def build_wda_spectrum(p: SystemParams, scales: DerivedScales | None = None) -> WdaSpectrum:
     """Wire coefficients -> tunneling -> poles -> first-order rates and residues."""
     if scales is None:
         scales = derived_scales(p)
     coeffs = wda_coefficients(p, scales)
-    tun = effective_tunneling(coeffs, scales, p.Delta, p.beta, strict=strict)
+    tun = effective_tunneling(coeffs, scales, p.Delta, p.beta)
     omega_plus, omega_minus = pole_frequencies(tun.delta0c, tun.delta1c, scales.Omega1)
     lam2_plus = -omega_plus**2
     lam2_minus = -omega_minus**2
@@ -319,13 +312,7 @@ def build_wda_spectrum(
     )
     return WdaSpectrum(
         u0=tun.u0,
-        delta0c=tun.delta0c,
-        delta1c=tun.delta1c,
-        delta1s=tun.delta1s,
-        omega1=scales.Omega1,
         gamma=p.gamma,
-        lambda2_plus=lam2_plus,
-        lambda2_minus=lam2_minus,
         omega_plus=omega_plus,
         omega_minus=omega_minus,
         kappa_plus=kappa_plus,
@@ -362,6 +349,11 @@ def bloch_siegert_shift(p: SystemParams) -> float:
     return 2.0 * p.g * (1.0 - 1.5 * p.alpha / p.Omega)
 
 
+def expansion_branch(p: SystemParams) -> str:
+    """Which of coupling and nonlinearity dominates the resonance expansion."""
+    return "nonlinearity-dominated" if p.g < p.alpha else "coupling-dominated"
+
+
 def resonance_analysis(
     p: SystemParams,
     scales: DerivedScales | None = None,
@@ -382,15 +374,14 @@ def resonance_analysis(
 
     if condition == "delta_eq_omega":
         delta_used = p.Delta
-        if g < alpha:  # coupling far below nonlinearity: frequencies collapse
-            branch = "nonlinearity-dominated"
+        tun_used = tun
+        branch = expansion_branch(p)
+        if branch == "nonlinearity-dominated":  # frequencies collapse
             omega_plus_exp, omega_minus_exp = om, om1
         else:
-            branch = "coupling-dominated"
             split = g * (1.0 - 1.5 * alpha / om)
             omega_plus_exp = om + 1.5 * alpha - split
             omega_minus_exp = om + 1.5 * alpha + split
-        tun_used = effective_tunneling(coeffs, scales, delta_used, p.beta)
     elif condition == "omega1_eq_delta0c":
         # solve Delta so that the dressed zeroth amplitude hits Omega1
         dressing = tun.delta0c / p.Delta if p.Delta > 0 else 1.0

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from effbath.cli import main
-from effbath.scenarios import worker_count
 
 
 def read_csv(path):
@@ -95,8 +94,7 @@ def test_cli_reports_match_the_figure_summary(tmp_path):
     assert float(report["weight_plus"]) + float(report["weight_minus"]) == 1.0
 
 
-def test_figure_fig8_twin_spectra(tmp_path, monkeypatch):
-    monkeypatch.setenv("EFFBATH_THREADS", "2")
+def test_figure_fig8_twin_spectra(tmp_path):
     assert main(["figure", "fig8", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "spectrum_niba_nonlinear.csv").exists()
     assert (tmp_path / "spectrum_niba_linear.csv").exists()
@@ -134,19 +132,20 @@ def test_unknown_figure_tag_usage_error():
         main(["figure", "fig99"])
 
 
-def test_global_flag_placement(tmp_path):
-    cfg = tmp_path / "hot.cfg"
-    cfg.write_text("Omega=1\nalpha=0.02\ng=1.5\ngamma=0.1\nbeta=10\nDelta=1\nepsilon=0\n")
-    with pytest.warns(UserWarning):
-        code = main(["--strict", "--config", str(cfg), "--out", str(tmp_path), "spectral"])
-    assert code == 2
+@pytest.mark.parametrize("horizon", [None, "0.004"])
+def test_niba_and_wda_share_the_time_grid(tmp_path, horizon):
+    extra = [] if horizon is None else ["--horizon", horizon]
+    assert main(["niba", "--out", str(tmp_path / "niba"), *extra]) == 0
+    assert main(["wda", "--out", str(tmp_path / "wda"), *extra]) == 0
+    niba = read_csv(tmp_path / "niba" / "P_niba.csv")
+    wda = read_csv(tmp_path / "wda" / "P_wda.csv")
+    assert np.atleast_1d(niba["t"]).size >= 2
+    np.testing.assert_array_equal(np.atleast_1d(niba["t"]), np.atleast_1d(wda["t"]))
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("EFFBATH_THREADS", raising=False)
-    assert worker_count() == 2
-    monkeypatch.setenv("EFFBATH_THREADS", "5")
-    assert worker_count() == 5
-    monkeypatch.setenv("EFFBATH_THREADS", "0")
-    with pytest.raises(ValueError):
-        worker_count()
+@pytest.mark.parametrize("rows", ["", "0,1\n"], ids=["header_only", "one_row"])
+def test_spectrum_of_a_too_short_trace_is_a_usage_error(tmp_path, capsys, rows):
+    trace = tmp_path / "short.csv"
+    trace.write_text("t,P\n" + rows)
+    assert main(["spectrum", str(trace), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("effbath: error: ")

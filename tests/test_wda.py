@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from effbath.correlation import closed_form_correlation, wda_coefficients, wda_split
+from effbath.correlation import wda_coefficients, wda_split
 from effbath.errors import ComplexFrequencyError, RegimeWarning, TruncationInvalidError
-from effbath.gme import simulate_population
 from effbath.params import build_params, derived_scales
 from effbath.wda import (
     bloch_siegert_shift,
@@ -286,21 +285,6 @@ def test_population_decoupled_cosine(free_params):
     spectrum = build_wda_spectrum(free_params)
     t = np.linspace(0.0, 40.0, 500)
     np.testing.assert_allclose(wda_population(t, spectrum), np.cos(t), rtol=0, atol=1e-12)
-
-
-def test_population_cross_solver_agreement(fig3_params, fig3_series, fig5_params):
-    # regression guard: the analytic trace tracks the numerical one at the
-    # known level (first-order formula; beat nodes carry the largest gap)
-    spectrum3 = build_wda_spectrum(fig3_params)
-    mask = fig3_series.times <= 50.0
-    diff3 = np.abs(wda_population(fig3_series.times[mask], spectrum3)
-                   - fig3_series.values[mask]).max()
-    assert diff3 <= 0.135
-
-    series5 = simulate_population(fig5_params, horizon=50.0)
-    spectrum5 = build_wda_spectrum(fig5_params)
-    diff5 = np.abs(wda_population(series5.times, spectrum5) - series5.values).max()
-    assert diff5 <= 0.02
 
 
 def test_truncation_ratio_second_harmonic_small(fig3_params):
