@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EffbathError, TooShortError
+from .errors import EffbathError, NonUniformGridError, TooShortError
 from .gme import TimeSeries, simulate_population, time_grid
 from .params import build_params, load_config
 from .scenarios import (
@@ -139,7 +139,11 @@ def _run_spectrum(args) -> int:
     values = np.atleast_1d(np.asarray(data["P"], dtype=float))
     if t.size < 2:
         raise TooShortError(f"{args.input} holds {t.size} samples; a step needs at least 2")
-    series = TimeSeries(h=float(t[1] - t[0]), values=values)
+    steps = np.diff(t)
+    h = float(steps[0])
+    if not (h > 0.0 and np.abs(steps - h).max() <= 1e-9 * h):
+        raise NonUniformGridError(f"{args.input}: the t column does not increase in even steps")
+    series = TimeSeries(h=h, values=values)
     result = fourier_spectrum(series, window=args.window, zero_pad_factor=max(args.pad, 1))
     args.out.mkdir(parents=True, exist_ok=True)
     write_csv(args.out / "spectrum.csv", ["omega", "magnitude"], [result.omega, result.magnitude])

@@ -68,6 +68,10 @@ class TooShortError(EffbathError, ValueError):
     """Time series too short for spectral analysis."""
 
 
+class NonUniformGridError(EffbathError, ValueError):
+    """Time samples are not evenly spaced, so no single step describes them."""
+
+
 class NoPeaksError(EffbathError, ValueError):
     """No local maxima found in a magnitude spectrum."""
 

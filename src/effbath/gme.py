@@ -120,7 +120,9 @@ def solve_gme(kernels: KernelGrid) -> TimeSeries:
 
     Product-integration trapezoid for the convolution combined with an
     implicit-trapezoid update, one fixed-point correction per step; global
-    error O(h^2).  Raises NonFiniteStateError if the trace diverges.
+    error O(h^2).  The history sums come from a divide-and-conquer of FFT
+    middle products (``accel.march``), so N steps cost O(N log^2 N).
+    Raises NonFiniteStateError if the trace diverges.
     """
     n_steps = kernels.ks.shape[0] - 1
     ka_int = cumulative_trapezoid(kernels.ka, dx=kernels.h, initial=0.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from effbath.cli import main
+from effbath.scenarios import write_csv
 
 
 def read_csv(path):
@@ -149,3 +150,21 @@ def test_spectrum_of_a_too_short_trace_is_a_usage_error(tmp_path, capsys, rows):
     trace.write_text("t,P\n" + rows)
     assert main(["spectrum", str(trace), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("effbath: error: ")
+
+
+@pytest.mark.parametrize("order", ["scattered", "reversed"])
+def test_spectrum_of_a_non_uniform_trace_is_a_usage_error(tmp_path, capsys, rng, order):
+    # cos(t) at sorted random times: t[1] - t[0] is no step of the trace;
+    # an evenly spaced but decreasing column has no positive step
+    t = np.sort(rng.uniform(0.0, 100.0, 200)) if order == "scattered" else np.linspace(100.0, 0.0, 200)
+    trace = tmp_path / "trace.csv"
+    write_csv(trace, ["t", "P"], [t, np.cos(t)])
+    assert main(["spectrum", str(trace), "--out", str(tmp_path / "out")]) == 1
+    assert "even steps" in capsys.readouterr().err
+
+
+def test_spectrum_accepts_the_rounding_jitter_of_a_written_trace(tmp_path):
+    assert main(["niba", "--out", str(tmp_path)]) == 0  # the fig3 P_niba.csv
+    t = read_csv(tmp_path / "P_niba.csv")["t"]
+    assert np.abs(np.diff(t) - (t[1] - t[0])).max() > 0.0
+    assert main(["spectrum", str(tmp_path / "P_niba.csv"), "--out", str(tmp_path / "out")]) == 0

@@ -1,8 +1,11 @@
+import gc
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
+from effbath import accel
 from effbath.correlation import closed_form_correlation
 from effbath.errors import NonFiniteStateError, StepTooLargeError
 from effbath.gme import (
@@ -14,6 +17,29 @@ from effbath.gme import (
 )
 from effbath.params import build_params, derived_scales
 from effbath.scenarios import FIGURE_PARAMS
+
+
+def _reference_march(h, ks, ka_int, n_steps):
+    """The direct O(N^2) march: one full history dot product per step."""
+    p = np.empty(n_steps + 1)
+    p[0] = 1.0
+    f_prev = 0.0
+    for n in range(n_steps):
+        conv = 0.5 * ks[n + 1] * p[0] + np.dot(ks[n:0:-1], p[1 : n + 1])
+        f_tilde = h * (conv + 0.5 * ks[0] * p[n]) + ka_int[n + 1]
+        p_new = p[n] - 0.5 * h * (f_prev + f_tilde)
+        if not np.isfinite(p_new) or abs(p_new) > 1e6:
+            return p, n + 1
+        p[n + 1] = p_new
+        f_prev = f_tilde + 0.5 * h * ks[0] * (p_new - p[n])
+    return p, -1
+
+
+def _march_inputs(params, n_steps):
+    scales = derived_scales(params)
+    h = default_step(params, scales)
+    grid = niba_kernels(closed_form_correlation(params, scales), params.Delta, params.epsilon, h, n_steps)
+    return h, grid.ks, cumulative_trapezoid(grid.ka, dx=h, initial=0.0), n_steps
 
 
 def test_kernels_decoupled_limit(free_params):
@@ -80,6 +106,48 @@ def test_step_halving_order_strong_coupling(fig3_params):
     assert math.log2(err_coarse / err_fine) >= 1.9
 
 
+def test_step_halving_order_full_horizon(fig3_params):
+    # the whole default horizon of 100/Omega: 10797 steps at h, 43188 at h/4
+    h = default_step(fig3_params)
+    ref = simulate_population(fig3_params, step=h / 4)
+    coarse = simulate_population(fig3_params, step=h)
+    fine = simulate_population(fig3_params, step=h / 2)
+    assert coarse.values.shape[0] - 1 == 10797
+    n = coarse.values.shape[0]
+    err_coarse = np.abs(coarse.values - ref.values[: 4 * n : 4]).max()
+    err_fine = np.abs(fine.values[: 2 * n : 2] - ref.values[: 4 * n : 4]).max()
+    assert math.log2(err_coarse / err_fine) >= 1.9
+
+
+_LEAF = accel._LEAF
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 1, 5003])
+def test_march_matches_the_direct_sum(n_steps):
+    # biased kernels, so the Ka forcing is nonzero; the sizes put the grid end
+    # on and beside every block boundary of the divide-and-conquer sum
+    biased = build_params({**FIGURE_PARAMS["fig3"], "epsilon": 0.1})
+    inputs = _march_inputs(biased, n_steps)
+    assert np.abs(inputs[2]).max() > 0.0
+    p, bad = accel.march(*inputs)
+    p_ref, bad_ref = _reference_march(*inputs)
+    assert bad == bad_ref == -1
+    assert np.abs(p - p_ref).max() <= 1e-12
+
+
+def test_march_leaves_no_reference_cycles(fig3_params):
+    # garbage the march leaves to the cycle collector would pile up between
+    # collections; self-recursive closures are one way to make it
+    inputs = _march_inputs(fig3_params, 5000)
+    gc.collect()
+    gc.disable()
+    try:
+        accel.march(*inputs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_step_too_large(fig3_params):
     with pytest.raises(StepTooLargeError):
         simulate_population(fig3_params, step=1.0, horizon=10.0)
@@ -101,6 +169,10 @@ def test_non_finite_state_guard():
     grid = KernelGrid(h=0.01, ks=np.full(1001, -25.0), ka=np.zeros(1001))
     with pytest.raises(NonFiniteStateError):
         solve_gme(grid)
+    # the first bad step lies past two block boundaries and matches the direct sum
+    _, bad = accel.march(grid.h, grid.ks, np.zeros(1001), 1000)
+    assert bad > 2 * _LEAF
+    assert bad == _reference_march(grid.h, grid.ks, np.zeros(1001), 1000)[1]
 
 
 def test_unknown_correlation_choice(fig3_params):
