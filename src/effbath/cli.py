@@ -9,6 +9,7 @@ violation under --strict, 1 any other failure.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from pathlib import Path
 
@@ -133,10 +134,23 @@ def _run_wda(args) -> int:
     return 0
 
 
+def _read_trace(path: Path):
+    """The ``t`` and ``P`` columns of a CSV trace, found by name in its header line."""
+    with open(path, encoding="utf-8") as fh:
+        names = [name.strip() for name in fh.readline().split(",")]
+        body = fh.read()
+    missing = [name for name in ("t", "P") if name not in names]
+    if missing:
+        raise ValueError(f"{path}: the header has no {' or '.join(missing)} column")
+    if not body.strip():  # loadtxt would warn on empty input
+        return np.empty(0), np.empty(0)
+    columns = (names.index("t"), names.index("P"))
+    data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, usecols=columns)
+    return data[:, 0], data[:, 1]
+
+
 def _run_spectrum(args) -> int:
-    data = np.genfromtxt(args.input, delimiter=",", names=True)
-    t = np.atleast_1d(np.asarray(data["t"], dtype=float))
-    values = np.atleast_1d(np.asarray(data["P"], dtype=float))
+    t, values = _read_trace(args.input)
     if t.size < 2:
         raise TooShortError(f"{args.input} holds {t.size} samples; a step needs at least 2")
     steps = np.diff(t)

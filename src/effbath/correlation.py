@@ -17,7 +17,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import QuadratureNonConvergence, ZeroDampingError
 from .params import DerivedScales, SystemParams
@@ -155,11 +154,12 @@ def wda_split(tau, coeffs: WdaCoefficients, scales: DerivedScales):
 
 
 def _quad_piece(fn, a, b, weight=None, wvar=None, epsabs=1e-10):
+    from scipy.integrate import quad  # here, so the package imports without scipy
+
     kwargs = {"epsabs": epsabs, "epsrel": 1e-10, "limit": 400}
     if weight is not None:
         kwargs["weight"] = weight
         kwargs["wvar"] = wvar
-        kwargs["limit"] = 400
     value, err = quad(fn, a, b, **kwargs)
     return value, err
 

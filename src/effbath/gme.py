@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from . import accel
 from .correlation import CorrelationFn, closed_form_correlation, quadrature_correlation
@@ -125,7 +124,9 @@ def solve_gme(kernels: KernelGrid) -> TimeSeries:
     Raises NonFiniteStateError if the trace diverges.
     """
     n_steps = kernels.ks.shape[0] - 1
-    ka_int = cumulative_trapezoid(kernels.ka, dx=kernels.h, initial=0.0)
+    ka = kernels.ka
+    # running trapezoid integral of Ka from t = 0, summed as scipy's cumulative_trapezoid does
+    ka_int = np.concatenate(([0.0], np.cumsum(kernels.h * (ka[1:] + ka[:-1]) / 2.0)))
     p, bad = accel.march(kernels.h, kernels.ks, ka_int, n_steps)
     if bad != -1:
         raise NonFiniteStateError(f"population trace left the finite range at step {bad}")

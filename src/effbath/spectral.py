@@ -10,7 +10,6 @@ agreement is the core mapping statement of the model.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ZeroDriveError
 from .params import DerivedScales, SystemParams, convert_couplings
@@ -122,6 +121,8 @@ def density_peak(density, Omega=1.0):
     Coarse scan with step Omega/2000 over (0, 2*Omega], then golden-section
     refinement around the best grid point.
     """
+    from scipy.optimize import minimize_scalar  # here, so the package imports without scipy
+
     step = Omega / 2000.0
     grid = np.arange(step, 2.0 * Omega + 0.5 * step, step)
     values = np.asarray(density(grid), dtype=float)

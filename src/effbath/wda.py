@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0
 
 from .correlation import WdaCoefficients, wda_coefficients
 from .errors import (
@@ -48,6 +47,53 @@ __all__ = [
 
 _NEWTON_MAX_ITER = 100
 _NEWTON_TOL = 1e-12
+
+# Cephes' Chebyshev coefficients of exp(-x)*I0(x) on [0, 8] and of
+# exp(-x)*sqrt(x)*I0(x) on (8, inf), as in scipy.special.i0
+_I0_A = (
+    -4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16,
+    1.715391285555133e-15, -1.1685332877993451e-14, 7.676185498604936e-14,
+    -4.856446783111929e-13, 2.95505266312964e-12, -1.726826291441556e-11,
+    9.675809035373237e-11, -5.189795601635263e-10, 2.6598237246823866e-09,
+    -1.300025009986248e-08, 6.046995022541919e-08, -2.670793853940612e-07,
+    1.1173875391201037e-06, -4.4167383584587505e-06, 1.6448448070728896e-05,
+    -5.754195010082104e-05, 0.00018850288509584165, -0.0005763755745385824,
+    0.0016394756169413357, -0.004324309995050576, 0.010546460394594998,
+    -0.02373741480589947, 0.04930528423967071, -0.09490109704804764,
+    0.17162090152220877, -0.3046826723431984, 0.6767952744094761,
+)
+_I0_B = (
+    -7.233180487874754e-18, -4.830504485944182e-18, 4.46562142029676e-17,
+    3.461222867697461e-17, -2.8276239805165836e-16, -3.425485619677219e-16,
+    1.7725601330565263e-15, 3.8116806693526224e-15, -9.554846698828307e-15,
+    -4.150569347287222e-14, 1.54008621752141e-14, 3.8527783827421426e-13,
+    7.180124451383666e-13, -1.7941785315068062e-12, -1.3215811840447713e-11,
+    -3.1499165279632416e-11, 1.1889147107846439e-11, 4.94060238822497e-10,
+    3.3962320257083865e-09, 2.266668990498178e-08, 2.0489185894690638e-07,
+    2.8913705208347567e-06, 6.889758346916825e-05, 0.0033691164782556943,
+    0.8044904110141088,
+)
+
+
+def _chbevl(x: float, coefs: tuple) -> float:
+    b0, b1, b2 = coefs[0], 0.0, 0.0
+    for c in coefs[1:]:
+        b2 = b1
+        b1 = b0
+        b0 = x * b1 - b2 + c
+    return 0.5 * (b0 - b2)
+
+
+def _i0(x: float) -> float:
+    """Modified Bessel function I0 of a real scalar, bit-equal to scipy.special.i0."""
+    x = abs(x)
+    if x <= 8.0:
+        return math.exp(x) * _chbevl(x / 2.0 - 2.0, _I0_A)
+    try:
+        scale = math.exp(x)
+    except OverflowError:  # scipy's i0 overflows to inf there too
+        return math.inf
+    return scale * _chbevl(32.0 / x - 2.0, _I0_B) / math.sqrt(x)
 
 
 @dataclass(frozen=True)
@@ -112,7 +158,7 @@ def effective_tunneling(
             stacklevel=2,
         )
     exp_y = math.exp(coeffs.Y)
-    delta0c_sq = delta**2 * exp_y * i0(u0_abs)
+    delta0c_sq = delta**2 * exp_y * _i0(u0_abs)
     # first harmonic linearized in u0; |u0|*cosh(beta*Omega1/2) equals
     # W*coth(beta*Omega1/2) = -Y, which stays finite at any temperature
     delta1c_sq = delta**2 * exp_y * (-coeffs.Y)
@@ -418,5 +464,5 @@ def truncation_ratio_n2(tun: EffectiveTunneling, coeffs: WdaCoefficients, beta: 
     if tun.delta1c == 0.0:
         return 0.0
     inv_sinh_sq = 0.0 if beta * omega1 > 1400.0 else 1.0 / math.sinh(0.5 * beta * omega1) ** 2
-    delta2c_sq = 0.25 * (tun.delta0c**2 / i0(abs(tun.u0))) * coeffs.W**2 * (2.0 + inv_sinh_sq)
+    delta2c_sq = 0.25 * (tun.delta0c**2 / _i0(abs(tun.u0))) * coeffs.W**2 * (2.0 + inv_sinh_sq)
     return delta2c_sq / tun.delta1c**2

@@ -1,8 +1,16 @@
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import effbath
 from effbath.cli import main
 from effbath.scenarios import write_csv
+
+SRC = Path(effbath.__file__).resolve().parent.parent
 
 
 def read_csv(path):
@@ -148,8 +156,28 @@ def test_niba_and_wda_share_the_time_grid(tmp_path, horizon):
 def test_spectrum_of_a_too_short_trace_is_a_usage_error(tmp_path, capsys, rows):
     trace = tmp_path / "short.csv"
     trace.write_text("t,P\n" + rows)
-    assert main(["spectrum", str(trace), "--out", str(tmp_path / "out")]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["spectrum", str(trace), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("effbath: error: ")
+
+
+@pytest.mark.parametrize("header", ["time,P", "t,p", "P"])
+def test_spectrum_without_t_and_P_columns_is_a_usage_error(tmp_path, capsys, header):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(header + "\n" + "0,1\n1,0\n2,1\n")
+    assert main(["spectrum", str(trace), "--out", str(tmp_path / "out")]) == 1
+    assert "column" in capsys.readouterr().err
+
+
+def test_spectrum_finds_its_columns_by_name(tmp_path):
+    t = np.linspace(0.0, 50.0, 501)
+    write_csv(tmp_path / "plain.csv", ["t", "P"], [t, np.cos(t)])
+    write_csv(tmp_path / "shuffled.csv", ["P", "x", "t"], [np.cos(t), np.sin(t), t])
+    for name in ("plain", "shuffled"):
+        assert main(["spectrum", str(tmp_path / f"{name}.csv"), "--out", str(tmp_path / name)]) == 0
+    plain, shuffled = (tmp_path / name / "spectrum.csv" for name in ("plain", "shuffled"))
+    assert plain.read_bytes() == shuffled.read_bytes()
 
 
 @pytest.mark.parametrize("order", ["scattered", "reversed"])
@@ -168,3 +196,48 @@ def test_spectrum_accepts_the_rounding_jitter_of_a_written_trace(tmp_path):
     t = read_csv(tmp_path / "P_niba.csv")["t"]
     assert np.abs(np.diff(t) - (t[1] - t[0])).max() > 0.0
     assert main(["spectrum", str(tmp_path / "P_niba.csv"), "--out", str(tmp_path / "out")]) == 0
+
+
+def _reference_write_csv(path, header, columns):
+    """The per-value writer that write_csv must match byte for byte."""
+    rows = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+
+
+@pytest.mark.parametrize("n_cols", [1, 2, 9])
+@pytest.mark.parametrize("n_rows", [0, 1, 4095, 4096, 4097, 10_000])
+def test_write_csv_matches_the_per_value_writer(tmp_path, rng, n_rows, n_cols):
+    special = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, 3.0, -7.0, 2.0**53])
+    size = n_rows * n_cols
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    values[1::4] = rng.integers(-(10**6), 10**6, values[1::4].size)  # integer-valued floats
+    k = min(special.size, size)
+    values[rng.choice(size, k, replace=False)] = special[:k]
+    header = [f"c{i}" for i in range(n_cols)]
+    columns = list(values.reshape(n_rows, n_cols).T)
+    write_csv(tmp_path / "blocked.csv", header, columns)
+    _reference_write_csv(tmp_path / "reference.csv", header, columns)
+    assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def _scipy_modules_after(tmp_path, code):
+    """Names of the scipy modules loaded by a fresh interpreter that ran ``code``."""
+    probe = (
+        f"import sys\nsys.path.insert(0, {str(SRC)!r})\n{code}\n"
+        "print(sorted(name for name in sys.modules if name.startswith('scipy')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          cwd=tmp_path, timeout=120, check=True)
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_import_loads_no_scipy(tmp_path):
+    assert _scipy_modules_after(tmp_path, "import effbath, effbath.cli") == "[]"
+
+
+def test_figure_fig3_loads_no_scipy(tmp_path):
+    code = "from effbath import cli\nassert cli.main(['figure', 'fig3', '--out', 'fig3']) == 0"
+    assert _scipy_modules_after(tmp_path, code) == "[]"

@@ -14,6 +14,7 @@ from effbath.gme import (
     niba_kernels,
     simulate_population,
     solve_gme,
+    time_grid,
 )
 from effbath.params import build_params, derived_scales
 from effbath.scenarios import FIGURE_PARAMS
@@ -40,6 +41,23 @@ def _march_inputs(params, n_steps):
     h = default_step(params, scales)
     grid = niba_kernels(closed_form_correlation(params, scales), params.Delta, params.epsilon, h, n_steps)
     return h, grid.ks, cumulative_trapezoid(grid.ka, dx=h, initial=0.0), n_steps
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.1], ids=["fig3", "biased"])
+def test_ka_integral_is_bit_equal_to_scipy(monkeypatch, epsilon):
+    params = build_params({**FIGURE_PARAMS["fig3"], "epsilon": epsilon})
+    scales = derived_scales(params)
+    h, n_steps = time_grid(params, scales)
+    grid = niba_kernels(closed_form_correlation(params, scales), params.Delta, params.epsilon, h, n_steps)
+    seen = []
+
+    def capture(step, ks, ka_int, n):
+        seen.append(ka_int)
+        return np.ones(n + 1), -1
+
+    monkeypatch.setattr(accel, "march", capture)
+    solve_gme(grid)
+    assert seen[0].tobytes() == cumulative_trapezoid(grid.ka, dx=h, initial=0.0).tobytes()
 
 
 def test_kernels_decoupled_limit(free_params):

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import i0
 
 from effbath.correlation import wda_coefficients, wda_split
 from effbath.errors import ComplexFrequencyError, RegimeWarning, TruncationInvalidError
 from effbath.params import build_params, derived_scales
 from effbath.wda import (
+    _i0,
     bloch_siegert_shift,
     build_wda_spectrum,
     decay_rates,
@@ -291,3 +293,17 @@ def test_truncation_ratio_second_harmonic_small(fig3_params):
     coeffs, scales, tun = _tunneling(fig3_params)
     ratio = truncation_ratio_n2(tun, coeffs, fig3_params.beta, scales.Omega1)
     assert 0.0 < ratio < 0.1
+
+
+def test_i0_is_bit_equal_to_scipy(fig3_params, fig5_params):
+    # both branches of the Chebyshev expansion, its branch point at 8 with
+    # its neighbours one ulp away, the |u0| the figures evaluate, and
+    # arguments whose exp overflows
+    u0 = [abs(build_wda_spectrum(p).u0) for p in (fig3_params, fig5_params)]
+    x = np.concatenate((
+        [0.0, 8.0, np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0), 700.0, 710.0, 1e4, *u0],
+        np.random.default_rng(7).uniform(0.0, 700.0, 20_000),
+        np.random.default_rng(8).uniform(0.0, 16.0, 20_000),
+    ))
+    ours = np.array([_i0(v) for v in x.tolist()])
+    assert ours.tobytes() == i0(x).tobytes()
