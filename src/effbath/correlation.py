@@ -12,7 +12,7 @@ temperature-dependent tolerance; that gap is asserted, not hidden.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -66,7 +66,6 @@ class CorrelationFn:
 
     kind: str  # "quadrature" | "closed-form" | "wda-split"
     pair: Callable
-    meta: dict = field(default_factory=dict)
 
     def S(self, tau):
         return self.pair(tau)[0]
@@ -241,19 +240,17 @@ def correlation_quadrature(
 
 
 def closed_form_correlation(p: SystemParams, scales: DerivedScales) -> CorrelationFn:
-    """Closed-form evaluator; at gamma = 0 falls back to the undamped limit."""
+    """Closed-form evaluator; the weak-damping split at gamma = 0.
+
+    The closed form is singular at zero damping, where the split's
+    first-order coefficients vanish and it is the undamped limit.
+    """
     if p.gamma == 0.0:
-        wda = wda_coefficients(p, scales)
-
-        def undamped(tau):
-            phase = scales.Omega1 * np.asarray(tau, dtype=float)
-            return wda.Y * (np.cos(phase) - 1.0), wda.W * np.sin(phase)
-
-        return CorrelationFn(kind="closed-form", pair=undamped, meta={"undamped": True})
+        return wda_correlation(p, scales)
 
     coeffs = closed_form_coefficients(p, scales)
     pair = partial(correlation_closed_form, coeffs=coeffs, scales=scales)
-    return CorrelationFn(kind="closed-form", pair=pair, meta={"coefficients": coeffs})
+    return CorrelationFn(kind="closed-form", pair=pair)
 
 
 def quadrature_correlation(p: SystemParams, scales: DerivedScales, atol: float = 1e-8) -> CorrelationFn:
@@ -279,7 +276,7 @@ def quadrature_correlation(p: SystemParams, scales: DerivedScales, atol: float =
         values = np.array([one(float(t)) for t in arr], dtype=float).reshape(-1, 2)
         return values[:, 0], values[:, 1]
 
-    return CorrelationFn(kind="quadrature", pair=pair, meta={"atol": atol})
+    return CorrelationFn(kind="quadrature", pair=pair)
 
 
 def wda_correlation(p: SystemParams, scales: DerivedScales) -> CorrelationFn:
@@ -290,4 +287,4 @@ def wda_correlation(p: SystemParams, scales: DerivedScales) -> CorrelationFn:
         s0, s1, r0, r1 = wda_split(tau, coeffs, scales)
         return s0 + s1, r0 + r1
 
-    return CorrelationFn(kind="wda-split", pair=pair, meta={"coefficients": coeffs})
+    return CorrelationFn(kind="wda-split", pair=pair)

@@ -9,8 +9,12 @@ class MissingKeyError(EffbathError, KeyError):
     """A required parameter key is absent from the input mapping."""
 
 
+class UnknownKeyError(EffbathError, ValueError):
+    """The parameter mapping holds a key the model does not read, e.g. a typo."""
+
+
 class NonPositiveError(EffbathError, ValueError):
-    """A strictly positive quantity (Omega, M, mu, beta) is zero or negative."""
+    """A parameter, time step, horizon or point count that must be positive and finite is not."""
 
 
 class NegativeRateError(EffbathError, ValueError):
@@ -19,10 +23,6 @@ class NegativeRateError(EffbathError, ValueError):
 
 class ZeroLengthError(EffbathError, ValueError):
     """A length scale used in a coupling conversion is zero."""
-
-
-class ZeroDriveError(EffbathError, ValueError):
-    """Susceptibility reconstruction requested with vanishing drive amplitude."""
 
 
 class ZeroDampingError(EffbathError, ValueError):
@@ -46,10 +46,6 @@ class StepTooLargeError(EffbathError, ValueError):
 
 class NonFiniteStateError(EffbathError, RuntimeError):
     """The population trace left the finite range during time stepping."""
-
-
-class TruncationInvalidError(EffbathError, ValueError):
-    """Kernel-series truncation condition |u0| < 1 violated (strict mode)."""
 
 
 class ComplexFrequencyError(EffbathError, ValueError):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import accel
 from .correlation import CorrelationFn, closed_form_correlation, quadrature_correlation
-from .errors import NonFiniteStateError, StepTooLargeError
+from .errors import NonFiniteStateError, NonPositiveError, StepTooLargeError
 from .params import DerivedScales, SystemParams, derived_scales
 
 __all__ = [
@@ -50,10 +50,6 @@ class KernelGrid:
     h: float
     ks: np.ndarray
     ka: np.ndarray
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.h * np.arange(self.ks.shape[0])
 
 
 @dataclass(frozen=True)
@@ -95,12 +91,16 @@ def time_grid(
     """Step h and step count n of the grid t_k = k*h, k = 0..n, for a run.
 
     Defaults to ``default_step`` and a horizon of 100/Omega; the horizon
-    is rounded to a whole number of steps, at least one.
+    is rounded to a whole number of steps, at least one.  A step or
+    horizon that is not positive and finite raises NonPositiveError.
     """
     if step is None:
         step = default_step(p, scales)
     if horizon is None:
         horizon = _DEFAULT_HORIZON_PERIODS / p.Omega
+    for name, value in (("step", step), ("horizon", horizon)):
+        if not 0.0 < value < math.inf:
+            raise NonPositiveError(f"{name} must be positive and finite, got {value}")
     return step, max(int(round(horizon / step)), 1)
 
 
@@ -130,7 +130,7 @@ def solve_gme(kernels: KernelGrid) -> TimeSeries:
     p, bad = accel.march(kernels.h, kernels.ks, ka_int, n_steps)
     if bad != -1:
         raise NonFiniteStateError(f"population trace left the finite range at step {bad}")
-    return TimeSeries(h=kernels.h, values=p, meta={"order": 2})
+    return TimeSeries(h=kernels.h, values=p)
 
 
 def simulate_population(

@@ -18,6 +18,7 @@ from .errors import (
     NegativeRateError,
     NonPositiveError,
     RegimeWarning,
+    UnknownKeyError,
     ZeroLengthError,
 )
 
@@ -27,6 +28,7 @@ _MATSUBARA_FACTOR = 5.0  # warn when k_B*T < factor * hbar*gammabar/(2*pi)
 
 _REQUIRED_KEYS = ("Omega", "alpha", "g", "beta", "Delta", "epsilon")
 _OPTIONAL_DEFAULTS = {"M": 1.0, "mu": 1.0}
+_KNOWN_KEYS = (*_REQUIRED_KEYS, *_OPTIONAL_DEFAULTS, "gamma", "gamma_over_2piOmega", "q0")
 
 
 @dataclass(frozen=True)
@@ -100,9 +102,7 @@ def regime_flags(p: SystemParams) -> list[str]:
         flags.append("weak-coupling (g < Omega)")
     if 3.0 * p.alpha >= _NONLINEARITY_WINDOW * p.Omega:
         flags.append("nonlinearity-window (3*alpha << hbar*Omega)")
-    omega1 = p.Omega + 3.0 * p.alpha
-    nth = bose_occupation(omega1, p.beta)
-    gammabar = 0.5 * (2.0 * nth + 1.0) * p.gamma
+    gammabar = derived_scales(p).gammabar
     if gammabar > 0.0 and 1.0 / p.beta < _MATSUBARA_FACTOR * gammabar / (2.0 * math.pi):
         flags.append("matsubara-validity (k_B*T >> hbar*gammabar/(2*pi))")
     return flags
@@ -113,9 +113,13 @@ def build_params(raw: Mapping[str, float]) -> SystemParams:
 
     The damping may be given either directly (``gamma``) or in the scaled
     figure-caption form (``gamma_over_2piOmega``); the direct value wins if
-    both are present.  Regime-flag violations emit ``RegimeWarning`` but do
-    not fail.
+    both are present.  A key the model does not read raises
+    ``UnknownKeyError``.  Regime-flag violations emit ``RegimeWarning`` but
+    do not fail.
     """
+    unknown = [key for key in raw if key not in _KNOWN_KEYS]
+    if unknown:
+        raise UnknownKeyError(f"unknown key {', '.join(unknown)}; the keys read are {', '.join(_KNOWN_KEYS)}")
     for key in _REQUIRED_KEYS:
         if key not in raw:
             raise MissingKeyError(key)
@@ -175,8 +179,7 @@ def convert_couplings(p: SystemParams) -> tuple[float, float]:
     """Bare bilinear coupling gbar and bare quartic coefficient alphabar.
 
     gbar = 2*sqrt(2)*g/(q0*y0) and alphabar = 4*alpha/y0**4 in reduced
-    units; q0 defaults to y0.  The round trip through
-    ``scaled_couplings_from_bare`` is the identity to machine precision.
+    units; q0 defaults to y0.
     """
     y0 = math.sqrt(1.0 / (p.M * p.Omega))
     q0 = p.q0 if p.q0 is not None else y0
@@ -185,17 +188,6 @@ def convert_couplings(p: SystemParams) -> tuple[float, float]:
     gbar = 2.0 * math.sqrt(2.0) * p.g / (q0 * y0)
     alphabar = 4.0 * p.alpha / y0**4
     return gbar, alphabar
-
-
-def scaled_couplings_from_bare(gbar: float, alphabar: float, p: SystemParams) -> tuple[float, float]:
-    """Inverse of ``convert_couplings``: (gbar, alphabar) -> (g, alpha)."""
-    y0 = math.sqrt(1.0 / (p.M * p.Omega))
-    q0 = p.q0 if p.q0 is not None else y0
-    if q0 == 0.0 or y0 == 0.0:
-        raise ZeroLengthError("q0 and y0 must be nonzero")
-    g = gbar * q0 * y0 / (2.0 * math.sqrt(2.0))
-    alpha = alphabar * y0**4 / 4.0
-    return g, alpha
 
 
 def load_config(path) -> dict[str, float]:

@@ -8,14 +8,13 @@ are byte-identical.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .correlation import closed_form_correlation, quadrature_correlation, wda_coefficients, wda_split
-from .errors import EffbathError
+from .errors import EffbathError, NonPositiveError
 from .gme import TimeSeries, simulate_population
 from .params import SystemParams, build_params, convert_couplings, derived_scales, regime_flags
 from .spectral import (
@@ -179,11 +178,15 @@ SPECTRAL_HEADER = ["omega", "J_ohmic", "J_linear_eff", "J_nonlinear_eff", "chi_i
 
 
 def write_spectral_csv(path: Path, p: SystemParams, omega_max: float = 3.0, points: int = 1500) -> None:
+    if points < 1:
+        raise NonPositiveError(f"points must be at least 1, got {points}")
     omega = np.linspace(omega_max / points, omega_max, points) * p.Omega
     write_csv(path, SPECTRAL_HEADER, _spectral_columns(p, omega))
 
 
 def write_correlation_csv(path: Path, p: SystemParams, tau_max: float = 30.0, points: int = 121) -> None:
+    if points < 1:
+        raise NonPositiveError(f"points must be at least 1, got {points}")
     scales = derived_scales(p)
     tau = np.linspace(0.0, tau_max / p.Omega, points)
     s_quad, r_quad = quadrature_correlation(p, scales).pair(tau)
@@ -200,7 +203,7 @@ def _population_pair(params: SystemParams):
     """NIBA trace and the matching analytic trace on the same grid."""
     series = simulate_population(params)
     spectrum = build_wda_spectrum(params)
-    analytic = TimeSeries(h=series.h, values=wda_population(series.times, spectrum), meta={"kind": "wda"})
+    analytic = TimeSeries(h=series.h, values=wda_population(series.times, spectrum))
     return series, analytic, spectrum
 
 
@@ -212,11 +215,11 @@ def peak_entries(result: SpectrumResult, k: int, prefix: str = "") -> dict:
     """Summary entries for the top-k peaks of a spectrum, in ascending frequency."""
     peaks = peak_extract(result, k)
     entries = {f"{prefix}fft_bin": result.resolution}
-    for i, peak in enumerate(sorted(peaks.peaks, key=lambda q: q.omega), start=1):
+    for i, peak in enumerate(sorted(peaks, key=lambda q: q.omega), start=1):
         entries[f"{prefix}peak{i}_omega"] = peak.omega
         entries[f"{prefix}peak{i}_height"] = peak.height
         entries[f"{prefix}peak{i}_half_width"] = peak.half_width
-    entries[f"{prefix}peak_shortage"] = peaks.shortage
+    entries[f"{prefix}peak_shortage"] = len(peaks) < k
     return entries
 
 
@@ -284,11 +287,8 @@ def run_scenario(sc: Scenario) -> dict:
         summary.update(peak_entries(niba_result, _N_PEAKS, "niba_"))
 
     elif sc.tag in ("fig7", "fig8"):
-        variants = [("nonlinear", p), ("linear", p.with_alpha(0.0))]
-        with ThreadPoolExecutor(max_workers=len(variants)) as pool:
-            futures = [pool.submit(_population_pair, prm) for _, prm in variants]
-            results = [fut.result() for fut in futures]  # fixed merge order
-        for (label, prm), (series, analytic, spectrum) in zip(variants, results):
+        for label, prm in (("nonlinear", p), ("linear", p.with_alpha(0.0))):
+            series, analytic, spectrum = _population_pair(prm)
             result = _spectrum(series)
             if sc.tag == "fig7":
                 for kind, trace in (("niba", series), ("wda", analytic)):

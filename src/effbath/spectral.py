@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ZeroDriveError
 from .params import DerivedScales, SystemParams, convert_couplings
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "nonlinear_effective_density",
     "geff",
     "effective_damping",
-    "susceptibility_from_response",
     "density_peak",
 ]
 
@@ -108,31 +106,37 @@ def effective_damping(omega, density, mu):
     return np.asarray(density(w), dtype=float) / (mu * w)
 
 
-def susceptibility_from_response(amplitude, phase, drive):
-    """Complex susceptibility (A/F)*exp(-i*phase) of a steady-state response."""
-    if drive <= 0.0:
-        raise ZeroDriveError("drive amplitude must be positive")
-    return (amplitude / drive) * np.exp(-1j * phase)
+# golden-section fraction (3 - sqrt(5))/2, and the relative bracket width
+# at which the refinement stops
+_GOLDEN = (3.0 - 5.0**0.5) / 2.0
+_PEAK_XTOL = 1e-12
 
 
 def density_peak(density, Omega=1.0):
     """Location and height of the (unimodal) maximum of ``density``.
 
     Coarse scan with step Omega/2000 over (0, 2*Omega], then golden-section
-    refinement around the best grid point.
+    refinement of the bracket formed by the best grid point and its two
+    neighbours.  A flat maximum fixes its location only to about sqrt(eps)
+    of the peak width, however small the final bracket.
     """
-    from scipy.optimize import minimize_scalar  # here, so the package imports without scipy
-
     step = Omega / 2000.0
     grid = np.arange(step, 2.0 * Omega + 0.5 * step, step)
     values = np.asarray(density(grid), dtype=float)
     i = int(np.argmax(values))
-    if 0 < i < grid.size - 1:
-        bracket = (grid[i - 1], grid[i], grid[i + 1])
-        res = minimize_scalar(
-            lambda w: -float(density(w)), bracket=bracket, method="golden",
-            options={"xtol": 1e-12},
-        )
-        loc = float(res.x)
-        return loc, float(density(loc))
-    return float(grid[i]), float(values[i])
+    if not 0 < i < grid.size - 1:
+        return float(grid[i]), float(values[i])
+    # x0 < x1 < x2 < x3 with the maximum between x0 and x3, x1 the best grid point
+    x0, x1, x3 = float(grid[i - 1]), float(grid[i]), float(grid[i + 1])
+    x2 = x1 + _GOLDEN * (x3 - x1)
+    f1, f2 = float(density(x1)), float(density(x2))
+    while x3 - x0 > _PEAK_XTOL * (x1 + x2):
+        if f2 > f1:
+            x0, x1, f1 = x1, x2, f2
+            x2 = (1.0 - _GOLDEN) * x1 + _GOLDEN * x3
+            f2 = float(density(x2))
+        else:
+            x3, x2, f2 = x2, x1, f1
+            x1 = (1.0 - _GOLDEN) * x2 + _GOLDEN * x0
+            f1 = float(density(x1))
+    return (x1, f1) if f1 > f2 else (x2, f2)

@@ -9,7 +9,7 @@ import numpy as np
 from .errors import NoPeaksError, TooShortError
 from .gme import TimeSeries
 
-__all__ = ["SpectrumResult", "Peak", "PeakSet", "fourier_spectrum", "peak_extract"]
+__all__ = ["SpectrumResult", "Peak", "fourier_spectrum", "peak_extract"]
 
 _MIN_SAMPLES = 64
 # maxima below this fraction of the global maximum are numerical dust
@@ -28,8 +28,6 @@ class SpectrumResult:
     omega: np.ndarray
     magnitude: np.ndarray
     resolution: float
-    window: str
-    pad_factor: int
 
 
 @dataclass(frozen=True)
@@ -37,21 +35,6 @@ class Peak:
     omega: float
     height: float
     half_width: float
-
-
-@dataclass(frozen=True)
-class PeakSet:
-    peaks: list[Peak]
-    shortage: bool = False  # fewer maxima found than requested
-
-    def __iter__(self):
-        return iter(self.peaks)
-
-    def __len__(self):
-        return len(self.peaks)
-
-    def __getitem__(self, i):
-        return self.peaks[i]
 
 
 def _windowed(values: np.ndarray, window: str) -> np.ndarray:
@@ -83,8 +66,6 @@ def fourier_spectrum(series: TimeSeries, window: str = "none", zero_pad_factor: 
         omega=omega,
         magnitude=magnitude,
         resolution=2.0 * np.pi / (n * series.h),
-        window=window,
-        pad_factor=int(zero_pad_factor),
     )
 
 
@@ -112,14 +93,14 @@ def _half_width(omega: np.ndarray, mag: np.ndarray, i: int) -> float:
     return 0.5 * float(omega[right] - omega[left])
 
 
-def peak_extract(spectrum: SpectrumResult, k: int) -> PeakSet:
+def peak_extract(spectrum: SpectrumResult, k: int) -> list[Peak]:
     """Top-k local maxima of the magnitude, tallest first.
 
     Each peak is refined by quadratic interpolation over three bins.
     Maxima below 1e-6 of the global maximum are treated as numerical
     dust and ignored.  If fewer than k maxima exist the available ones
-    are returned with the shortage flag set; an empty spectrum raises
-    NoPeaksError.
+    are returned, so a list shorter than k marks the shortage; an empty
+    spectrum raises NoPeaksError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -135,4 +116,4 @@ def peak_extract(spectrum: SpectrumResult, k: int) -> PeakSet:
     for i in chosen:
         loc, height = _refine(spectrum.omega, mag, int(i))
         peaks.append(Peak(omega=loc, height=height, half_width=_half_width(spectrum.omega, mag, int(i))))
-    return PeakSet(peaks=peaks, shortage=len(peaks) < k)
+    return peaks

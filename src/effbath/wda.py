@@ -25,7 +25,6 @@ from .errors import (
     NoConvergenceError,
     RegimeWarning,
     RootSwapError,
-    TruncationInvalidError,
 )
 from .params import DerivedScales, SystemParams, derived_scales
 
@@ -131,27 +130,15 @@ def effective_tunneling(
     scales: DerivedScales,
     delta: float,
     beta: float,
-    strict: bool = False,
 ) -> EffectiveTunneling:
     """u0 and the dressed amplitudes Delta_{0,c}, Delta_{1,c}, Delta_{1,s}.
 
-    |u0| = W/sinh(beta*Omega1/2) is used as the authoritative branch of
-    sqrt(Y**2 - W**2); a raw negative Y**2 - W**2 only triggers a warning.
-    Outside the truncation regime |u0| < 1 a warning is emitted (an error
-    under strict=True).
+    |u0| = W/sinh(beta*Omega1/2) is sqrt(Y**2 - W**2) for
+    Y = -W*coth(beta*Omega1/2), written so it cannot overflow.  Outside the
+    truncation regime |u0| < 1 a warning is emitted.
     """
-    big = beta * scales.Omega1
-    u0_abs = coeffs.W / _sinh_half(big)
-    raw = coeffs.Y**2 - coeffs.W**2
-    if raw < 0.0:
-        warnings.warn(
-            "Y^2 - W^2 < 0; using the simplified resummation argument",
-            RegimeWarning,
-            stacklevel=2,
-        )
+    u0_abs = coeffs.W / _sinh_half(beta * scales.Omega1)
     if u0_abs >= 1.0:
-        if strict:
-            raise TruncationInvalidError(f"|u0| = {u0_abs:.3g} >= 1")
         warnings.warn(
             f"kernel truncation unreliable: |u0| = {u0_abs:.3g} >= 1",
             RegimeWarning,
@@ -400,17 +387,14 @@ def expansion_branch(p: SystemParams) -> str:
     return "nonlinearity-dominated" if p.g < p.alpha else "coupling-dominated"
 
 
-def resonance_analysis(
-    p: SystemParams,
-    scales: DerivedScales | None = None,
-    condition: str = "delta_eq_omega",
-) -> dict:
-    """Transition frequencies at resonance and their expansion values.
+def resonance_analysis(p: SystemParams, scales: DerivedScales | None = None) -> dict:
+    """Transition frequencies at the Delta = Omega comparison point.
 
-    ``condition`` picks the resonance: "delta_eq_omega" (comparison point
-    of the composite-system treatment) or "omega1_eq_delta0c" (dressed
-    resonance, exact splitting Delta_{1,c}).  The expansion branch is
-    chosen by the relative size of coupling and nonlinearity.
+    The lowest-order expansion values of the composite-system treatment
+    sit next to the exact roots of the undamped pole equation.  The
+    expansion branch is chosen by the relative size of coupling and
+    nonlinearity: where the nonlinearity dominates, the frequencies
+    collapse onto Omega and Omega1.
     """
     if scales is None:
         scales = derived_scales(p)
@@ -418,34 +402,17 @@ def resonance_analysis(
     tun = effective_tunneling(coeffs, scales, p.Delta, p.beta)
     om, om1, g, alpha = p.Omega, scales.Omega1, p.g, p.alpha
 
-    if condition == "delta_eq_omega":
-        delta_used = p.Delta
-        tun_used = tun
-        branch = expansion_branch(p)
-        if branch == "nonlinearity-dominated":  # frequencies collapse
-            omega_plus_exp, omega_minus_exp = om, om1
-        else:
-            split = g * (1.0 - 1.5 * alpha / om)
-            omega_plus_exp = om + 1.5 * alpha - split
-            omega_minus_exp = om + 1.5 * alpha + split
-    elif condition == "omega1_eq_delta0c":
-        # solve Delta so that the dressed zeroth amplitude hits Omega1
-        dressing = tun.delta0c / p.Delta if p.Delta > 0 else 1.0
-        delta_used = om1 / dressing
-        tun_used = effective_tunneling(coeffs, scales, delta_used, p.beta)
-        branch = "dressed-resonance"
-        omega_plus_exp = om1 - 0.5 * tun_used.delta1c
-        omega_minus_exp = om1 + 0.5 * tun_used.delta1c
+    branch = expansion_branch(p)
+    if branch == "nonlinearity-dominated":
+        omega_plus_exp, omega_minus_exp = om, om1
     else:
-        raise ValueError(f"unknown resonance condition {condition!r}")
+        split = g * (1.0 - 1.5 * alpha / om)
+        omega_plus_exp = om + 1.5 * alpha - split
+        omega_minus_exp = om + 1.5 * alpha + split
 
-    omega_plus_exact, omega_minus_exact = pole_frequencies(
-        tun_used.delta0c, tun_used.delta1c, om1
-    )
+    omega_plus_exact, omega_minus_exact = pole_frequencies(tun.delta0c, tun.delta1c, om1)
     return {
-        "condition": condition,
         "branch": branch,
-        "delta_used": delta_used,
         "omega_plus": omega_plus_exp,
         "omega_minus": omega_minus_exp,
         "omega_plus_exact": omega_plus_exact,

@@ -8,7 +8,7 @@ import pytest
 
 import effbath
 from effbath.cli import main
-from effbath.scenarios import write_csv
+from effbath.scenarios import FIGURE_PARAMS, write_csv
 
 SRC = Path(effbath.__file__).resolve().parent.parent
 
@@ -64,15 +64,31 @@ def test_wda_subcommand(tmp_path):
     assert float(report["omega_minus"]) > float(report["omega_plus"])
 
 
-def test_figure_fig2_bundle_and_determinism(tmp_path):
+_BUNDLES = {
+    "fig2": ("spectral.csv", "summary.txt"),
+    "fig7": ("P_niba_linear.csv", "P_niba_nonlinear.csv", "P_wda_linear.csv", "P_wda_nonlinear.csv",
+             "summary.txt"),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(_BUNDLES))
+def test_figure_bundle_and_determinism(tmp_path, tag):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["figure", "fig2", "--out", str(out1)]) == 0
-    assert main(["figure", "fig2", "--out", str(out2)]) == 0
-    for name in ("spectral.csv", "summary.txt"):
+    assert main(["figure", tag, "--out", str(out1)]) == 0
+    assert main(["figure", tag, "--out", str(out2)]) == 0
+    assert sorted(path.name for path in out1.iterdir()) == list(_BUNDLES[tag])
+    for name in _BUNDLES[tag]:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     summary = dict(line.split("=") for line in (out1 / "summary.txt").read_text().splitlines())
-    assert float(summary["jeff_peak_omega"]) == pytest.approx(1.06, abs=1e-3)
     assert summary["regime_flags"] == "none"
+    if tag == "fig2":
+        assert float(summary["jeff_peak_omega"]) == pytest.approx(1.06, abs=1e-3)
+    else:
+        # the nonlinear variant's entries come first, then its alpha = 0 twin's
+        twins = [key.split("_", 1)[0] for key in summary if key.startswith(("nonlinear_", "linear_"))]
+        assert twins == ["nonlinear"] * (len(twins) // 2) + ["linear"] * (len(twins) // 2)
+        assert float(summary["nonlinear_bs_shift"]) == pytest.approx(0.3492, rel=1e-12)
+        assert float(summary["linear_bs_shift"]) == pytest.approx(2 * 0.18, rel=1e-12)
 
 
 def test_figure_fig3_bundle(tmp_path):
@@ -134,6 +150,31 @@ def test_strict_regime_violation_exit_code(tmp_path):
 
 def test_missing_config_errors(tmp_path):
     assert main(["custom", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 1
+
+
+def test_a_config_typo_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("Omega=1\nalpha=0.01\ng=0.1\ngamma=0.08\nbeta=10\nDelta=1\nepsilon=0\nMass=4\nq_0=3\n")
+    assert main(["custom", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("effbath: error: ") and "Mass" in err and "q_0" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["niba", "--step", "0"],
+    ["wda", "--step", "0"],
+    ["niba", "--step", "-0.01", "--horizon", "1"],
+    ["niba", "--horizon", "-5"],
+    ["wda", "--step", "inf"],
+    ["wda", "--horizon", "nan"],
+    ["spectral", "--points", "0"],
+    ["correlation", "--points", "0"],
+], ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv))
+def test_a_bad_grid_is_a_usage_error(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("effbath: error: ")
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_unknown_figure_tag_usage_error():
@@ -238,6 +279,7 @@ def test_import_loads_no_scipy(tmp_path):
     assert _scipy_modules_after(tmp_path, "import effbath, effbath.cli") == "[]"
 
 
-def test_figure_fig3_loads_no_scipy(tmp_path):
-    code = "from effbath import cli\nassert cli.main(['figure', 'fig3', '--out', 'fig3']) == 0"
+@pytest.mark.parametrize("tag", sorted(FIGURE_PARAMS))
+def test_figure_loads_no_scipy(tmp_path, tag):
+    code = f"from effbath import cli\nassert cli.main(['figure', {tag!r}, '--out', {tag!r}]) == 0"
     assert _scipy_modules_after(tmp_path, code) == "[]"

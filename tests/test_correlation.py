@@ -185,7 +185,6 @@ def test_zero_damping_routes_to_undamped_limit():
     p = build_params(raw)
     s = derived_scales(p)
     corr = closed_form_correlation(p, s)
-    assert corr.meta.get("undamped") is True
     coeffs = wda_coefficients(p, s)
     tau = np.linspace(0.0, 20.0, 200)
     np.testing.assert_allclose(corr.S(tau), coeffs.Y * (np.cos(s.Omega1 * tau) - 1.0), rtol=1e-14)

@@ -79,7 +79,7 @@ def test_kernels_initial_values(fig3_params, fig3_scales):
 def test_kernels_envelope_bound(fig3_params, fig3_scales):
     corr = closed_form_correlation(fig3_params, fig3_scales)
     grid = niba_kernels(corr, fig3_params.Delta, 0.0, 0.02, 2000)
-    envelope = fig3_params.Delta**2 * np.exp(-np.asarray(corr.S(grid.times)))
+    envelope = fig3_params.Delta**2 * np.exp(-np.asarray(corr.S(0.02 * np.arange(2001))))
     assert np.all(np.abs(grid.ks) <= envelope * (1 + 1e-12))
 
 

@@ -9,6 +9,7 @@ from effbath.errors import (
     NegativeRateError,
     NonPositiveError,
     RegimeWarning,
+    UnknownKeyError,
     ZeroLengthError,
 )
 from effbath.params import (
@@ -18,7 +19,6 @@ from effbath.params import (
     derived_scales,
     load_config,
     regime_flags,
-    scaled_couplings_from_bare,
 )
 
 FIG3 = {"Omega": 1, "alpha": 0.02, "g": 0.18, "gamma_over_2piOmega": 0.0154,
@@ -42,6 +42,16 @@ def test_build_params_missing_key():
         build_params({"Omega": 1, "alpha": 0, "g": 0, "gamma": 0, "beta": 10, "Delta": 1})
     with pytest.raises(MissingKeyError, match="gamma"):
         build_params({"Omega": 1, "alpha": 0, "g": 0, "beta": 10, "Delta": 1, "epsilon": 0})
+
+
+@pytest.mark.parametrize("typo", ["Mass", "q_0", "omega"])
+def test_build_params_rejects_an_unknown_key(typo):
+    with pytest.raises(UnknownKeyError, match=typo):
+        build_params(dict(FIG3, **{typo: 3.0}))
+    # every key the model reads is accepted
+    every = dict(FIG3, M=2.0, mu=0.5, gamma=0.1, q0=1.5)
+    assert len(every) == 11
+    assert build_params(every).q0 == 1.5
 
 
 @pytest.mark.parametrize("key,bad,exc", [
@@ -135,9 +145,11 @@ def test_convert_couplings_zero_and_identity():
     gbar, alphabar = convert_couplings(p)
     # M = Omega = 1 gives y0 = 1 and alphabar = 4*alpha
     assert alphabar == pytest.approx(4 * p.alpha, rel=1e-14)
-    g_back, alpha_back = scaled_couplings_from_bare(gbar, alphabar, p)
-    assert g_back == pytest.approx(p.g, rel=1e-14)
-    assert alpha_back == pytest.approx(p.alpha, rel=1e-14)
+    # back to the scaled couplings: hbar*g = gbar*q0*y0/(2*sqrt(2)) with
+    # q0 defaulting to y0, and alpha = alphabar*y0^4/4
+    y0 = derived_scales(p).y0
+    assert gbar * y0 * y0 / (2 * math.sqrt(2)) == pytest.approx(p.g, rel=1e-14)
+    assert alphabar * y0**4 / 4 == pytest.approx(p.alpha, rel=1e-14)
 
 
 @pytest.mark.filterwarnings("ignore::effbath.errors.RegimeWarning")
@@ -149,9 +161,9 @@ def test_convert_couplings_round_trip_random(rng):
                "Delta": 1.0, "epsilon": 0.0, "q0": rng.uniform(0.2, 4)}
         p = build_params(raw)
         gbar, alphabar = convert_couplings(p)
-        g_back, alpha_back = scaled_couplings_from_bare(gbar, alphabar, p)
-        assert g_back == pytest.approx(p.g, rel=1e-14, abs=1e-300)
-        assert alpha_back == pytest.approx(p.alpha, rel=1e-14, abs=1e-300)
+        y0 = derived_scales(p).y0
+        assert gbar * p.q0 * y0 / (2 * math.sqrt(2)) == pytest.approx(p.g, rel=1e-14, abs=1e-300)
+        assert alphabar * y0**4 / 4 == pytest.approx(p.alpha, rel=1e-14, abs=1e-300)
 
 
 def test_convert_couplings_zero_length():

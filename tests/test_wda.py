@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.special import i0
 
 from effbath.correlation import wda_coefficients, wda_split
-from effbath.errors import ComplexFrequencyError, RegimeWarning, TruncationInvalidError
+from effbath.errors import ComplexFrequencyError, RegimeWarning
 from effbath.params import build_params, derived_scales
 from effbath.wda import (
     _i0,
@@ -61,8 +61,6 @@ def test_truncation_warning_and_strict_error():
     with pytest.warns(RegimeWarning, match="truncation"):
         tun = effective_tunneling(coeffs, scales, p.Delta, p.beta)
     assert abs(tun.u0) >= 1.0
-    with pytest.raises(TruncationInvalidError):
-        effective_tunneling(coeffs, scales, p.Delta, p.beta, strict=True)
 
 
 def test_pole_frequencies_quartic_residual(fig3_params, fig5_params):
@@ -84,16 +82,19 @@ def test_pole_frequencies_degenerate_error():
 def test_dressed_resonance_exact_splitting(fig3_params):
     # at the dressed resonance the splitting equals the first-harmonic
     # amplitude exactly, and the lowest-order frequencies are symmetric
-    report = resonance_analysis(fig3_params, condition="omega1_eq_delta0c")
-    split = report["omega_minus_exact"] - report["omega_plus_exact"]
     scales = derived_scales(fig3_params)
     coeffs = wda_coefficients(fig3_params, scales)
-    tun = effective_tunneling(coeffs, scales, report["delta_used"], fig3_params.beta)
+    # the bare Delta whose dressed zeroth amplitude hits Omega1; the
+    # dressing factor does not depend on Delta
+    beta = fig3_params.beta
+    dressing = effective_tunneling(coeffs, scales, 1.0, beta).delta0c
+    tun = effective_tunneling(coeffs, scales, scales.Omega1 / dressing, beta)
+    omega_plus_exact, omega_minus_exact = pole_frequencies(tun.delta0c, tun.delta1c, scales.Omega1)
     assert tun.delta0c == pytest.approx(scales.Omega1, rel=1e-12)
-    assert split == pytest.approx(tun.delta1c, rel=1e-12)
-    assert abs(report["omega_plus"] - (scales.Omega1 - tun.delta1c / 2)) < 1e-14
+    assert omega_minus_exact - omega_plus_exact == pytest.approx(tun.delta1c, rel=1e-12)
     # lowest-order values sit within Delta1c^2/(4*Omega1) of the exact roots
-    assert abs(report["omega_plus"] - report["omega_plus_exact"]) <= tun.delta1c**2 / (4 * scales.Omega1)
+    omega_plus = scales.Omega1 - tun.delta1c / 2
+    assert abs(omega_plus - omega_plus_exact) <= tun.delta1c**2 / (4 * scales.Omega1)
 
 
 def test_bloch_siegert_shift_value(fig3_params):
@@ -124,11 +125,6 @@ def test_resonance_analysis_linear_limit():
     assert report["bs_shift"] == pytest.approx(2 * 0.18, rel=1e-14)
     assert report["omega_plus"] == pytest.approx(1 - 0.18, rel=1e-14)
     assert report["omega_minus"] == pytest.approx(1 + 0.18, rel=1e-14)
-
-
-def test_resonance_analysis_unknown_condition(fig3_params):
-    with pytest.raises(ValueError):
-        resonance_analysis(fig3_params, condition="bogus")
 
 
 def test_expansion_consistency_envelope():
