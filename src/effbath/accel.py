@@ -6,19 +6,22 @@ march builds the sums by a causal divide-and-conquer (Hairer, Lubich &
 Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): steps [lo, hi) are marched
 as [lo, mid), then the values p[lo:mid] are added to the history of
 [mid, hi) in one real-FFT middle product, then [mid, hi) is marched.
-Blocks of at most ``_LEAF`` steps are marched one step at a time, with the
-part of the sum from inside the block as a dot product.  Each level of the
-recursion costs O(N log N), so the march is O(N log^2 N).
+Each level of the recursion costs O(N log N), so the march is O(N log^2 N).
+
+Inside a block of at most ``_LEAF`` steps the update is linear with constant
+coefficients, so the block is one unit lower-triangular Toeplitz system for
+the increments v[m] = p[lo+1+m] - p[lo+m].  Its inverse column depends only
+on h and ks[:_LEAF + 1]; it is formed once per march, and each block is then
+one length-L convolution, a cumulative sum and one dot product, O(L^2) in C
+with no per-step Python work.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 _OVERFLOW_GUARD = 1e6
-_LEAF = 128  # steps marched one at a time; the FFTs take over above it
+_LEAF = 128  # steps solved as one Toeplitz system; the FFTs take over above it
 
 
 def backend_name() -> str:
@@ -36,15 +39,45 @@ def march(h, ks, ka_int, n_steps):
     """
     p = np.empty(n_steps + 1)
     p[0] = 1.0
+    # a non-finite ks[d] reaches p[d] through the endpoint term of p[0]; stop
+    # there, and cut it from ks, so that no FFT spreads it over the steps before
+    nonfinite = np.flatnonzero(~np.isfinite(ks[: n_steps + 1]))
+    cut = max(int(nonfinite[0]), 1) if nonfinite.size else -1
+    if cut != -1:
+        n_steps = cut - 1
+        ks = ks[:cut]
+    if n_steps == 0:
+        return p, cut
     hist = 0.5 * p[0] * ks[1 : n_steps + 1]  # trapezoid endpoint at t' = 0
     size = _LEAF
     while size < n_steps:
         size *= 2
-    _, bad = _march_block(h, ks, ka_int, p, hist, 0, size, 0.0, {})
-    return p, bad
+    solver = _leaf_solver(h, ks, min(_LEAF, n_steps))
+    _, bad = _march_block(h, ks, ka_int, p, hist, 0, size, 0.0, {}, solver)
+    return p, cut if bad == -1 else bad
 
 
-def _march_block(h, ks, ka_int, p, hist, lo, size, f_prev, spectra):
+def _leaf_solver(h, ks, n):
+    """The block system's column w[:n + 1] and the first n values u of its inverse.
+
+    Eliminating the stored forcing, step lo + m of a block reads
+    v[m] + sum_{i<m} w[m-i] v[i] = rhs[m] with
+    w[d] = (h^2/2) (ks[0] + 2 sum_{e=1}^{d-1} ks[e] + ks[d]), w[0] = 1.
+    w is formed directly: the partial sums of the system for p itself
+    cancel 1 - 1 at w[1].
+    """
+    w = np.empty(n + 1)
+    w[0] = 1.0
+    inner = np.concatenate(([0.0], np.cumsum(ks[1:n])))  # sum_{e=1}^{d-1} ks[e]
+    w[1:] = (0.5 * h * h) * (ks[0] + 2.0 * inner + ks[1 : n + 1])
+    u = np.empty(n)
+    u[0] = 1.0
+    for d in range(1, n):
+        u[d] = -w[d:0:-1].dot(u[:d])
+    return w, u
+
+
+def _march_block(h, ks, ka_int, p, hist, lo, size, f_prev, spectra, solver):
     """March steps [lo, lo + size), clipped to the grid.
 
     On entry hist[n] holds the history sum of step n over p[:lo]; on return
@@ -52,14 +85,14 @@ def _march_block(h, ks, ka_int, p, hist, lo, size, f_prev, spectra):
     """
     hi = min(lo + size, hist.shape[0])
     if size <= _LEAF:
-        return _march_leaf(h, ks, ka_int, p, hist, lo, hi, f_prev)
+        return _march_leaf(h, ks, ka_int, p, hist, lo, hi, f_prev, solver)
     half = size // 2
     mid = lo + half
-    f_prev, bad = _march_block(h, ks, ka_int, p, hist, lo, half, f_prev, spectra)
+    f_prev, bad = _march_block(h, ks, ka_int, p, hist, lo, half, f_prev, spectra, solver)
     if bad != -1 or mid >= hi:
         return f_prev, bad
     _add_history(ks, p, hist, lo, mid, hi, spectra)
-    return _march_block(h, ks, ka_int, p, hist, mid, half, f_prev, spectra)
+    return _march_block(h, ks, ka_int, p, hist, mid, half, f_prev, spectra, solver)
 
 
 def _add_history(ks, p, hist, lo, mid, hi, spectra):
@@ -90,23 +123,35 @@ def _add_history(ks, p, hist, lo, mid, hi, spectra):
         hist[mid:hi] += conv[s1 - s0 : s1 - s0 + width]
 
 
-def _march_leaf(h, ks, ka_int, p, hist, lo, hi, f_prev):
-    """March steps [lo, hi) one at a time; the sum over p[lo:n+1] is direct.
+def _march_leaf(h, ks, ka_int, p, hist, lo, hi, f_prev, solver):
+    """March steps [lo, hi) as one Toeplitz solve for the increments.
 
-    The scalar update runs on Python floats, which round as numpy's do.
+    With p[j] = p[lo] + (increments so far), step n = lo + m reads
+    v[m] + sum_{i<m} w[m-i] v[i] = rhs[m]; the part of rhs from p[lo] is
+    p[lo] * w[m + s], s = 1 unless lo = 0 (where p[0] is already in hist).
+    Solving for the increments, not for p, keeps the rounding of p from
+    acting as a kick to the slope.  Step lo carries f_prev and is explicit.
     """
+    w, u = solver
+    n = hi - lo
+    s = 1 if lo else 0
     half_h = 0.5 * h
-    k0 = float(ks[0])
+    k0 = ks[0]
+    p_lo = p[lo]
+    a = ka_int[lo : hi + 1]
+    rhs = np.empty(n)
+    conv = hist[lo] + ks[1] * p_lo if lo else hist[lo]
+    rhs[0] = -half_h * (f_prev + (h * (conv + 0.5 * k0 * p_lo) + a[1]))
+    rhs[1:] = -(half_h * h) * (hist[lo : hi - 1] + hist[lo + 1 : hi])
+    rhs[1:] -= p_lo * w[1 + s : n + s]
+    rhs[1:] -= half_h * (a[1:n] + a[2:])
+    v = np.convolve(u[:n], rhs)[:n]
+    p[lo + 1 : hi + 1] = v
+    np.cumsum(p[lo : hi + 1], out=p[lo : hi + 1])
+    mag = np.abs(p[lo + 1 : hi + 1])
+    if not mag.max() <= _OVERFLOW_GUARD:  # also catches nan
+        return f_prev, lo + 1 + int(np.argmin(mag <= _OVERFLOW_GUARD))
     j0 = max(lo, 1)
-    ks_rev = ks[hi - j0 : 0 : -1].copy()  # ks_rev[i] = ks[hi - j0 - i], contiguous
-    p_n = float(p[lo])
-    for n, conv, forcing in zip(range(lo, hi), hist[lo:hi].tolist(), ka_int[lo + 1 : hi + 1].tolist()):
-        conv += float(ks_rev[hi - n - 1 : hi - j0].dot(p[j0 : n + 1]))
-        f_tilde = h * (conv + 0.5 * k0 * p_n) + forcing
-        p_new = p_n - half_h * (f_prev + f_tilde)
-        if not math.isfinite(p_new) or abs(p_new) > _OVERFLOW_GUARD:
-            return f_prev, n + 1
-        p[n + 1] = p_new
-        f_prev = f_tilde + half_h * k0 * (p_new - p_n)
-        p_n = p_new
+    conv = hist[hi - 1] + ks[hi - j0 : 0 : -1].dot(p[j0:hi])  # the sum at step hi - 1
+    f_prev = h * (conv + 0.5 * k0 * p[hi - 1]) + a[n] + half_h * k0 * v[-1]
     return f_prev, -1

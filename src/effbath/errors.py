@@ -5,7 +5,7 @@ class EffbathError(Exception):
     """Base class for all package-specific errors."""
 
 
-class MissingKeyError(EffbathError, KeyError):
+class MissingKeyError(EffbathError, ValueError):
     """A required parameter key is absent from the input mapping."""
 
 

@@ -120,7 +120,10 @@ def solve_gme(kernels: KernelGrid) -> TimeSeries:
     Product-integration trapezoid for the convolution combined with an
     implicit-trapezoid update, one fixed-point correction per step; global
     error O(h^2).  The history sums come from a divide-and-conquer of FFT
-    middle products (``accel.march``), so N steps cost O(N log^2 N).
+    middle products (``accel.march``), so N steps cost O(N log^2 N).  Each
+    block of up to 128 steps is one Toeplitz solve for the increments of
+    P: a length-128 convolution with an inverse column formed once per
+    march, so no step runs in the interpreter.
     Raises NonFiniteStateError if the trace diverges.
     """
     n_steps = kernels.ks.shape[0] - 1

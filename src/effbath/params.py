@@ -122,7 +122,10 @@ def build_params(raw: Mapping[str, float]) -> SystemParams:
         raise UnknownKeyError(f"unknown key {', '.join(unknown)}; the keys read are {', '.join(_KNOWN_KEYS)}")
     for key in _REQUIRED_KEYS:
         if key not in raw:
-            raise MissingKeyError(key)
+            raise MissingKeyError(
+                f"missing key {key}; the keys required are {', '.join(_REQUIRED_KEYS)}"
+                " and gamma (or gamma_over_2piOmega)"
+            )
 
     values = {key: float(raw[key]) for key in _REQUIRED_KEYS}
     for key, default in _OPTIONAL_DEFAULTS.items():
@@ -133,7 +136,7 @@ def build_params(raw: Mapping[str, float]) -> SystemParams:
     elif "gamma_over_2piOmega" in raw:
         values["gamma"] = float(raw["gamma_over_2piOmega"]) * 2.0 * math.pi * values["Omega"]
     else:
-        raise MissingKeyError("gamma (or gamma_over_2piOmega)")
+        raise MissingKeyError("missing key gamma (or gamma_over_2piOmega)")
 
     if "q0" in raw and raw["q0"] is not None:
         values["q0"] = float(raw["q0"])
@@ -155,13 +158,22 @@ def build_params(raw: Mapping[str, float]) -> SystemParams:
 
 
 def derived_scales(p: SystemParams) -> DerivedScales:
-    """Compute all derived scales; deterministic and purely algebraic."""
+    """Compute all derived scales; deterministic and purely algebraic.
+
+    Raises NonPositiveError for alpha > Omega/6, where the first-order
+    factor 1 - 6*alpha/Omega, and with it the effective density, turns negative.
+    """
     y0 = math.sqrt(1.0 / (p.M * p.Omega))
     n1 = 1.0 - 1.5 * p.alpha / p.Omega
     omega1 = p.Omega + 3.0 * p.alpha
     nth = bose_occupation(omega1, p.beta)
     gammabar = 0.5 * (2.0 * nth + 1.0) * p.gamma
     n1_pow4_first_order = 1.0 - 6.0 * p.alpha / p.Omega
+    if n1_pow4_first_order < 0.0:
+        raise NonPositiveError(
+            f"alpha = {p.alpha:g} exceeds Omega/6 = {p.Omega / 6.0:.6g}: the effective spectral density's"
+            f" factor 1 - 6*alpha/Omega = {n1_pow4_first_order:.6g} is negative"
+        )
     varsigma = p.g**2 * p.gamma * n1_pow4_first_order / (math.pi * p.Omega**3)
     return DerivedScales(
         y0=y0,

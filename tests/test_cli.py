@@ -161,6 +161,30 @@ def test_a_config_typo_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["wda", "niba"])
+def test_a_nonlinearity_past_omega_over_6_is_a_usage_error(tmp_path, capsys, command):
+    # 1 - 6*alpha/Omega = -0.2 would make the effective spectral density negative
+    cfg = tmp_path / "strong.cfg"
+    cfg.write_text("Omega=1\nalpha=0.2\ng=0.18\ngamma_over_2piOmega=0.0154\nbeta=10\nDelta=1\nepsilon=0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the nonlinearity-window regime flag
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("effbath: error: alpha = 0.2 exceeds Omega/6")
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_empty_config_names_the_missing_key(tmp_path, capsys):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("")
+    assert main(["custom", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "effbath: error: missing key Omega; the keys required are Omega, alpha, g, beta, Delta, epsilon"
+        " and gamma (or gamma_over_2piOmega)\n"
+    )
+
+
 @pytest.mark.parametrize("argv", [
     ["niba", "--step", "0"],
     ["wda", "--step", "0"],

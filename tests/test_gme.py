@@ -153,6 +153,16 @@ def test_march_matches_the_direct_sum(n_steps):
     assert np.abs(p - p_ref).max() <= 1e-12
 
 
+def test_march_matches_the_direct_sum_at_weak_coupling(fig5_params):
+    # at g = 0.0018 the trace rings for many periods, so rounding that acts
+    # as a kick to the slope of p builds up where the strong-coupling cases damp it
+    inputs = _march_inputs(fig5_params, 5003)
+    p, bad = accel.march(*inputs)
+    p_ref, bad_ref = _reference_march(*inputs)
+    assert bad == bad_ref == -1
+    assert np.abs(p - p_ref).max() <= 2e-14
+
+
 def test_march_leaves_no_reference_cycles(fig3_params):
     # garbage the march leaves to the cycle collector would pile up between
     # collections; self-recursive closures are one way to make it
@@ -191,6 +201,22 @@ def test_non_finite_state_guard():
     _, bad = accel.march(grid.h, grid.ks, np.zeros(1001), 1000)
     assert bad > 2 * _LEAF
     assert bad == _reference_march(grid.h, grid.ks, np.zeros(1001), 1000)[1]
+
+
+@pytest.mark.parametrize(
+    "where, lag",
+    [("ks", 50), ("ks", 3 * _LEAF + 7), ("ka_int", 50)],
+    ids=["ks_first_leaf", "ks_past_it", "ka_int"],
+)
+def test_non_finite_kernel_guard(where, lag):
+    # a nan in ks or in the Ka integral first reaches p[lag]; neither a block
+    # solve nor an FFT of the history may carry it to an earlier step
+    biased = build_params({**FIGURE_PARAMS["fig3"], "epsilon": 0.1})
+    h, ks, ka_int, n_steps = _march_inputs(biased, 1000)
+    inputs = {"ks": ks.copy(), "ka_int": ka_int.copy()}
+    inputs[where][lag] = np.nan
+    _, bad = accel.march(h, inputs["ks"], inputs["ka_int"], n_steps)
+    assert bad == _reference_march(h, inputs["ks"], inputs["ka_int"], n_steps)[1] == lag
 
 
 def test_unknown_correlation_choice(fig3_params):
