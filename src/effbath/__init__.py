@@ -12,6 +12,6 @@ from .params import SystemParams, build_params, derived_scales, load_config
 from .gme import simulate_population
 from .wda import build_wda_spectrum, wda_population
 from .spectrum import fourier_spectrum, peak_extract
-from .scenarios import run_scenario, scenario_for_figure
+from .scenarios import run_scenario
 
 __version__ = "0.1.0"

@@ -15,17 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EffbathError, NonUniformGridError, TooShortError
+from .errors import EffbathError, NegativeRateError, NonFiniteStateError, NonUniformGridError, TooShortError
 from .gme import TimeSeries, simulate_population, time_grid
 from .params import build_params, load_config
 from .scenarios import (
     FIGURE_PARAMS,
-    Scenario,
     StrictRegimeError,
     check_strict,
     peak_entries,
     run_scenario,
-    scenario_for_figure,
     wda_entries,
     write_correlation_csv,
     write_csv,
@@ -150,6 +148,8 @@ def _read_trace(path: Path):
 
 
 def _run_spectrum(args) -> int:
+    if args.peaks < 0:
+        raise NegativeRateError(f"--peaks must be 0 or more, got {args.peaks}")
     t, values = _read_trace(args.input)
     if t.size < 2:
         raise TooShortError(f"{args.input} holds {t.size} samples; a step needs at least 2")
@@ -157,24 +157,27 @@ def _run_spectrum(args) -> int:
     h = float(steps[0])
     if not (h > 0.0 and np.abs(steps - h).max() <= 1e-9 * h):
         raise NonUniformGridError(f"{args.input}: the t column does not increase in even steps")
-    series = TimeSeries(h=h, values=values)
-    result = fourier_spectrum(series, window=args.window, zero_pad_factor=max(args.pad, 1))
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = bad[0]
+        raise NonFiniteStateError(f"{args.input}: P is not finite in data row {i + 1} (t = {t[i]:g})")
+    result = fourier_spectrum(TimeSeries(h=h, values=values), window=args.window, zero_pad_factor=args.pad)
+    peaks = peak_entries(result, args.peaks) if args.peaks > 0 else None
     args.out.mkdir(parents=True, exist_ok=True)
     write_csv(args.out / "spectrum.csv", ["omega", "magnitude"], [result.omega, result.magnitude])
-    if args.peaks > 0:
-        write_summary(args.out / "peaks.txt", peak_entries(result, args.peaks))
+    if peaks is not None:
+        write_summary(args.out / "peaks.txt", peaks)
     return 0
 
 
 def _run_figure(args) -> int:
     outdir = args.out if args.out is not None else Path(args.tag)
-    run_scenario(scenario_for_figure(args.tag, outdir, strict=args.strict))
+    run_scenario(args.tag, build_params(FIGURE_PARAMS[args.tag]), outdir, args.strict)
     return 0
 
 
 def _run_custom(args) -> int:
-    params = build_params(load_config(args.config))
-    run_scenario(Scenario("custom", params, args.out, args.strict))
+    run_scenario("custom", build_params(load_config(args.config)), args.out, args.strict)
     return 0
 
 

@@ -14,11 +14,11 @@ class UnknownKeyError(EffbathError, ValueError):
 
 
 class NonPositiveError(EffbathError, ValueError):
-    """A parameter, time step, horizon or point count that must be positive and finite is not."""
+    """A parameter, step, horizon, grid end, point count or pad factor is not positive and finite."""
 
 
 class NegativeRateError(EffbathError, ValueError):
-    """A nonnegative quantity (gamma, alpha, Delta) is negative."""
+    """A nonnegative quantity (gamma, alpha, Delta, a peak count) is negative."""
 
 
 class ZeroLengthError(EffbathError, ValueError):
@@ -45,7 +45,7 @@ class StepTooLargeError(EffbathError, ValueError):
 
 
 class NonFiniteStateError(EffbathError, RuntimeError):
-    """The population trace left the finite range during time stepping."""
+    """A population trace holds a nan or inf: the march left the finite range, or an input trace has one."""
 
 
 class ComplexFrequencyError(EffbathError, ValueError):

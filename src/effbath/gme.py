@@ -18,7 +18,7 @@ run at epsilon = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,11 +54,10 @@ class KernelGrid:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Uniformly sampled population difference with solver metadata."""
+    """Population difference sampled at t_k = k*h; ``h`` is the grid step."""
 
     h: float
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     @property
     def times(self) -> np.ndarray:
@@ -168,6 +167,4 @@ def simulate_population(
         raise ValueError(f"unknown correlation evaluator {correlation!r}")
 
     kernels = niba_kernels(corr, p.Delta, p.epsilon, step, n_steps)
-    series = solve_gme(kernels)
-    series.meta.update({"correlation": corr.kind, "step": step, "horizon": n_steps * step})
-    return series
+    return solve_gme(kernels)

@@ -8,7 +8,6 @@ are byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 from .correlation import closed_form_correlation, quadrature_correlation, wda_coefficients, wda_split
 from .errors import EffbathError, NonPositiveError
 from .gme import TimeSeries, simulate_population
-from .params import SystemParams, build_params, convert_couplings, derived_scales, regime_flags
+from .params import SystemParams, convert_couplings, derived_scales, regime_flags
 from .spectral import (
     density_peak,
     geff,
@@ -28,13 +27,7 @@ from .spectral import (
 from .spectrum import SpectrumResult, fourier_spectrum, peak_extract
 from .wda import bloch_siegert_shift, build_wda_spectrum, expansion_branch, wda_population
 
-__all__ = [
-    "FIGURE_PARAMS",
-    "Scenario",
-    "StrictRegimeError",
-    "scenario_for_figure",
-    "run_scenario",
-]
+__all__ = ["FIGURE_PARAMS", "StrictRegimeError", "run_scenario"]
 
 _FIG3 = {
     "Omega": 1.0,
@@ -80,21 +73,9 @@ class StrictRegimeError(EffbathError):
 _PAD_FACTOR = 8
 _N_PEAKS = 2
 
-
-@dataclass(frozen=True)
-class Scenario:
-    """One run of the pipeline: a figure tag (or "custom") on its params."""
-
-    tag: str
-    params: SystemParams
-    outdir: Path
-    strict: bool = False
-
-
-def scenario_for_figure(tag: str, outdir, strict: bool = False) -> Scenario:
-    if tag not in FIGURE_PARAMS:
-        raise ValueError(f"unknown figure tag {tag!r}; expected one of {sorted(FIGURE_PARAMS)}")
-    return Scenario(tag, build_params(FIGURE_PARAMS[tag]), Path(outdir), strict)
+# what each population tag writes: (P traces, spectra)
+_WRITES = {"fig3": (True, False), "fig5": (True, False), "fig7": (True, False),
+           "fig4": (False, True), "fig6": (False, True), "fig8": (False, True), "custom": (True, True)}
 
 
 def _fmt(value) -> str:
@@ -126,12 +107,11 @@ def write_summary(path: Path, entries: dict) -> None:
             fh.write(f"{key}={_fmt(value)}\n")
 
 
-def _base_summary(sc: Scenario) -> dict:
-    p = sc.params
+def _base_summary(tag: str, p: SystemParams) -> dict:
     scales = derived_scales(p)
     entries = {
-        "scenario": sc.tag,
-        "tag": sc.tag,
+        "scenario": tag,
+        "tag": tag,
         "Omega": p.Omega,
         "M": p.M,
         "mu": p.mu,
@@ -174,19 +154,24 @@ def _spectral_columns(p: SystemParams, omega: np.ndarray):
     ]
 
 
+def _check_grid(name: str, end: float, points: int) -> None:
+    if not 0.0 < end < np.inf:
+        raise NonPositiveError(f"{name} must be positive and finite, got {end}")
+    if points < 1:
+        raise NonPositiveError(f"points must be at least 1, got {points}")
+
+
 SPECTRAL_HEADER = ["omega", "J_ohmic", "J_linear_eff", "J_nonlinear_eff", "chi_imag", "G_eff"]
 
 
 def write_spectral_csv(path: Path, p: SystemParams, omega_max: float = 3.0, points: int = 1500) -> None:
-    if points < 1:
-        raise NonPositiveError(f"points must be at least 1, got {points}")
+    _check_grid("omega_max", omega_max, points)
     omega = np.linspace(omega_max / points, omega_max, points) * p.Omega
     write_csv(path, SPECTRAL_HEADER, _spectral_columns(p, omega))
 
 
 def write_correlation_csv(path: Path, p: SystemParams, tau_max: float = 30.0, points: int = 121) -> None:
-    if points < 1:
-        raise NonPositiveError(f"points must be at least 1, got {points}")
+    _check_grid("tau_max", tau_max, points)
     scales = derived_scales(p)
     tau = np.linspace(0.0, tau_max / p.Omega, points)
     s_quad, r_quad = quadrature_correlation(p, scales).pair(tau)
@@ -205,10 +190,6 @@ def _population_pair(params: SystemParams):
     spectrum = build_wda_spectrum(params)
     analytic = TimeSeries(h=series.h, values=wda_population(series.times, spectrum))
     return series, analytic, spectrum
-
-
-def _spectrum(series: TimeSeries) -> SpectrumResult:
-    return fourier_spectrum(series, zero_pad_factor=_PAD_FACTOR)
 
 
 def peak_entries(result: SpectrumResult, k: int, prefix: str = "") -> dict:
@@ -240,73 +221,54 @@ def wda_entries(spectrum, p: SystemParams) -> dict:
     }
 
 
-def run_scenario(sc: Scenario) -> dict:
-    """Execute one scenario and write its artifact bundle.
+def run_scenario(tag: str, params: SystemParams, outdir, strict: bool = False) -> None:
+    """Write the artifact bundle of a figure tag, or of "custom", run on ``params``.
 
-    Returns a mapping of artifact names to paths; the summary dictionary
-    is included under the key "summary_entries".
+    fig2 writes the spectral densities and their peak.  Every other tag
+    runs one loop over its variants: the params alone, or for the fig7/fig8
+    twins the params and their alpha = 0 twin, whose files take a
+    ``_{label}`` suffix and whose summary keys a ``{label}_`` prefix.
+    ``_WRITES`` says whether a tag writes P traces, spectra or both; only
+    a run without twins writes the WDA spectrum.  An unknown tag raises
+    ValueError before anything is checked or written.
     """
-    check_strict(sc.params, sc.strict)
-    outdir = Path(sc.outdir)
+    if tag != "fig2" and tag not in _WRITES:
+        raise ValueError(f"unknown scenario tag {tag!r}; expected one of {sorted([*_WRITES, 'fig2'])}")
+    check_strict(params, strict)
+    outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    p = sc.params
-    written: dict = {}
-    summary = _base_summary(sc)
+    summary = _base_summary(tag, params)
 
-    if sc.tag == "fig2":
-        path = outdir / "spectral.csv"
-        write_spectral_csv(path, p)
-        scales = derived_scales(p)
+    if tag == "fig2":
+        write_spectral_csv(outdir / "spectral.csv", params)
+        scales = derived_scales(params)
         loc, height = density_peak(
-            lambda w: nonlinear_effective_density(w, p, scales), Omega=p.Omega
+            lambda w: nonlinear_effective_density(w, params, scales), Omega=params.Omega
         )
         summary["jeff_peak_omega"] = loc
         summary["jeff_peak_height"] = height
-        written["spectral"] = path
-
-    elif sc.tag in ("fig3", "fig5", "fig4", "fig6", "custom"):
-        series, analytic, spectrum = _population_pair(p)
-        summary.update(wda_entries(spectrum, p))
-        if sc.tag in ("fig3", "fig5", "custom"):
-            niba_path = outdir / "P_niba.csv"
-            wda_path = outdir / "P_wda.csv"
-            write_csv(niba_path, ["t", "P"], [series.times, series.values])
-            write_csv(wda_path, ["t", "P"], [analytic.times, analytic.values])
-            written["P_niba"] = niba_path
-            written["P_wda"] = wda_path
-        niba_result = _spectrum(series)
-        if sc.tag in ("fig4", "fig6", "custom"):
-            for label, result in (("niba", niba_result), ("wda", _spectrum(analytic))):
-                path = outdir / f"spectrum_{label}.csv"
-                write_csv(path, ["omega", "magnitude"], [result.omega, result.magnitude])
-                written[f"spectrum_{label}"] = path
-        if sc.tag == "custom":
-            path = outdir / "spectral.csv"
-            write_spectral_csv(path, p)
-            written["spectral"] = path
-        summary.update(peak_entries(niba_result, _N_PEAKS, "niba_"))
-
-    elif sc.tag in ("fig7", "fig8"):
-        for label, prm in (("nonlinear", p), ("linear", p.with_alpha(0.0))):
-            series, analytic, spectrum = _population_pair(prm)
-            result = _spectrum(series)
-            if sc.tag == "fig7":
-                for kind, trace in (("niba", series), ("wda", analytic)):
-                    path = outdir / f"P_{kind}_{label}.csv"
-                    write_csv(path, ["t", "P"], [trace.times, trace.values])
-                    written[f"P_{kind}_{label}"] = path
-            else:
-                path = outdir / f"spectrum_niba_{label}.csv"
-                write_csv(path, ["omega", "magnitude"], [result.omega, result.magnitude])
-                written[f"spectrum_niba_{label}"] = path
-            for key, value in wda_entries(spectrum, prm).items():
-                summary[f"{label}_{key}"] = value
-            summary.update(peak_entries(result, _N_PEAKS, f"{label}_"))
     else:
-        raise ValueError(f"unknown scenario tag {sc.tag!r}")
+        traces, spectra = _WRITES[tag]
+        twins = tag in ("fig7", "fig8")
+        variants = (("nonlinear", params), ("linear", params.with_alpha(0.0))) if twins else (("", params),)
+        for label, prm in variants:
+            suffix, prefix = (f"_{label}", f"{label}_") if twins else ("", "")
+            series, analytic, spectrum = _population_pair(prm)
+            if traces:
+                for kind, trace in (("niba", series), ("wda", analytic)):
+                    write_csv(outdir / f"P_{kind}{suffix}.csv", ["t", "P"], [trace.times, trace.values])
+            result = fourier_spectrum(series, zero_pad_factor=_PAD_FACTOR)
+            if spectra:
+                kinds = [("niba", result)]
+                if not twins:
+                    kinds.append(("wda", fourier_spectrum(analytic, zero_pad_factor=_PAD_FACTOR)))
+                for kind, spec in kinds:
+                    path = outdir / f"spectrum_{kind}{suffix}.csv"
+                    write_csv(path, ["omega", "magnitude"], [spec.omega, spec.magnitude])
+            summary.update({prefix + key: value for key, value in wda_entries(spectrum, prm).items()})
+            # a run without twins names its peak keys after the trace they come from
+            summary.update(peak_entries(result, _N_PEAKS, prefix or "niba_"))
+        if tag == "custom":
+            write_spectral_csv(outdir / "spectral.csv", params)
 
-    summary_path = outdir / "summary.txt"
-    write_summary(summary_path, summary)
-    written["summary"] = summary_path
-    written["summary_entries"] = summary
-    return written
+    write_summary(outdir / "summary.txt", summary)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoPeaksError, TooShortError
+from .errors import NonPositiveError, NoPeaksError, TooShortError
 from .gme import TimeSeries
 
 __all__ = ["SpectrumResult", "Peak", "fourier_spectrum", "peak_extract"]
@@ -57,7 +57,7 @@ def fourier_spectrum(series: TimeSeries, window: str = "none", zero_pad_factor: 
     if n < _MIN_SAMPLES:
         raise TooShortError(f"need at least {_MIN_SAMPLES} samples, got {n}")
     if zero_pad_factor < 1:
-        raise ValueError("zero_pad_factor must be >= 1")
+        raise NonPositiveError(f"zero_pad_factor must be at least 1, got {zero_pad_factor}")
     processed = _windowed(series.values, window)
     n_pad = n * int(zero_pad_factor)
     magnitude = np.abs(np.fft.rfft(processed, n=n_pad))

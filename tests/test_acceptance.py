@@ -180,7 +180,7 @@ def test_criterion_06_free_qubit():
     horizon = 10 * 2 * math.pi
     series = simulate_population(p, horizon=horizon)
     err = float(np.abs(series.values - np.cos(series.times)).max())
-    half = simulate_population(p, step=series.meta["step"] / 2, horizon=horizon)
+    half = simulate_population(p, step=series.h / 2, horizon=horizon)
     err_half = float(np.abs(half.values - np.cos(half.times)).max())
     order = math.log2(err / err_half)
     ok = err <= 1e-3 and order >= 1.9

@@ -8,7 +8,8 @@ import pytest
 
 import effbath
 from effbath.cli import main
-from effbath.scenarios import FIGURE_PARAMS, write_csv
+from effbath.params import build_params
+from effbath.scenarios import FIGURE_PARAMS, run_scenario, write_csv
 
 SRC = Path(effbath.__file__).resolve().parent.parent
 
@@ -66,8 +67,13 @@ def test_wda_subcommand(tmp_path):
 
 _BUNDLES = {
     "fig2": ("spectral.csv", "summary.txt"),
+    "fig3": ("P_niba.csv", "P_wda.csv", "summary.txt"),
+    "fig4": ("spectrum_niba.csv", "spectrum_wda.csv", "summary.txt"),
+    "fig5": ("P_niba.csv", "P_wda.csv", "summary.txt"),
+    "fig6": ("spectrum_niba.csv", "spectrum_wda.csv", "summary.txt"),
     "fig7": ("P_niba_linear.csv", "P_niba_nonlinear.csv", "P_wda_linear.csv", "P_wda_nonlinear.csv",
              "summary.txt"),
+    "fig8": ("spectrum_niba_linear.csv", "spectrum_niba_nonlinear.csv", "summary.txt"),
 }
 
 
@@ -83,7 +89,7 @@ def test_figure_bundle_and_determinism(tmp_path, tag):
     assert summary["regime_flags"] == "none"
     if tag == "fig2":
         assert float(summary["jeff_peak_omega"]) == pytest.approx(1.06, abs=1e-3)
-    else:
+    elif tag in ("fig7", "fig8"):
         # the nonlinear variant's entries come first, then its alpha = 0 twin's
         twins = [key.split("_", 1)[0] for key in summary if key.startswith(("nonlinear_", "linear_"))]
         assert twins == ["nonlinear"] * (len(twins) // 2) + ["linear"] * (len(twins) // 2)
@@ -194,6 +200,12 @@ def test_an_empty_config_names_the_missing_key(tmp_path, capsys):
     ["wda", "--horizon", "nan"],
     ["spectral", "--points", "0"],
     ["correlation", "--points", "0"],
+    ["spectral", "--omega-max", "nan"],
+    ["spectral", "--omega-max", "inf"],
+    ["spectral", "--omega-max", "0"],
+    ["correlation", "--tau-max", "nan"],
+    ["correlation", "--tau-max", "inf"],
+    ["correlation", "--tau-max", "0"],
 ], ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv))
 def test_a_bad_grid_is_a_usage_error(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
@@ -204,6 +216,12 @@ def test_a_bad_grid_is_a_usage_error(tmp_path, capsys, argv):
 def test_unknown_figure_tag_usage_error():
     with pytest.raises(SystemExit):
         main(["figure", "fig99"])
+
+
+def test_run_scenario_rejects_an_unknown_tag_before_writing(tmp_path):
+    with pytest.raises(ValueError, match="fig9"):
+        run_scenario("fig9", build_params(FIGURE_PARAMS["fig3"]), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("horizon", [None, "0.004"])
@@ -225,6 +243,27 @@ def test_spectrum_of_a_too_short_trace_is_a_usage_error(tmp_path, capsys, rows):
         warnings.simplefilter("error")
         assert main(["spectrum", str(trace), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("effbath: error: ")
+
+
+@pytest.mark.parametrize("trace, argv, message", [
+    ("nan_in_row_2", [], "data row 2 (t = 1)"),
+    ("nan_in_row_2", ["--peaks", "2"], "data row 2 (t = 1)"),
+    ("constant", ["--peaks", "2"], "no local maxima"),
+    ("cosine", ["--pad", "0"], "zero_pad_factor"),
+    ("cosine", ["--pad", "-3"], "zero_pad_factor"),
+    ("cosine", ["--peaks", "-1"], "--peaks"),
+], ids=["nan", "nan_peaks_2", "no_peaks", "pad_0", "pad_-3", "peaks_-1"])
+def test_spectrum_rejects_bad_input_before_writing(tmp_path, capsys, trace, argv, message):
+    t = np.arange(101.0)
+    values = np.full(t.size, 0.5) if trace == "constant" else np.cos(0.3 * t)
+    if trace == "nan_in_row_2":
+        values[1] = np.nan
+    path = tmp_path / "trace.csv"
+    write_csv(path, ["t", "P"], [t, values])
+    assert main(["spectrum", str(path), "--out", str(tmp_path / "out"), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("effbath: error: ") and message in err
+    assert not (tmp_path / "out" / "spectrum.csv").exists()
 
 
 @pytest.mark.parametrize("header", ["time,P", "t,p", "P"])

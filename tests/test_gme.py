@@ -97,7 +97,7 @@ def test_free_qubit_cosine(free_params):
     err_default = np.abs(series.values - np.cos(series.times)).max()
     assert err_default <= 1e-3
 
-    half = simulate_population(free_params, step=series.meta["step"] / 2, horizon=horizon)
+    half = simulate_population(free_params, step=series.h / 2, horizon=horizon)
     err_half = np.abs(half.values - np.cos(half.times)).max()
     assert math.log2(err_default / err_half) >= 1.9
 
