@@ -77,6 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--window", choices=("none", "hann"), default="none")
     sub.add_argument("--pad", type=int, default=1)
     sub.add_argument("--peaks", type=int, default=0, help="also report the top-k peaks")
+    sub.add_argument("--omega-max", type=float, default=3.0,
+                     help="band end, in the angular-frequency units of the t column")
 
     sub = commands.add_parser("figure", help="regenerate one figure's data bundle")
     sub.add_argument("tag", choices=sorted(FIGURE_PARAMS))
@@ -161,7 +163,9 @@ def _run_spectrum(args) -> int:
     if bad.size:
         i = bad[0]
         raise NonFiniteStateError(f"{args.input}: P is not finite in data row {i + 1} (t = {t[i]:g})")
-    result = fourier_spectrum(TimeSeries(h=h, values=values), window=args.window, zero_pad_factor=args.pad)
+    result = fourier_spectrum(
+        TimeSeries(h=h, values=values), window=args.window, zero_pad_factor=args.pad, omega_max=args.omega_max
+    )
     peaks = peak_entries(result, args.peaks) if args.peaks > 0 else None
     args.out.mkdir(parents=True, exist_ok=True)
     write_csv(args.out / "spectrum.csv", ["omega", "magnitude"], [result.omega, result.magnitude])

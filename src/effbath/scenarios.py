@@ -69,8 +69,10 @@ class StrictRegimeError(EffbathError):
     """Raised when --strict is set and a regime flag is violated."""
 
 
-# every spectrum is zero padded 8x and summarized by its two tallest peaks
+# every spectrum is zero padded 8x, kept to omega <= 3*Omega (where every
+# peak lies) and summarized by its two tallest peaks
 _PAD_FACTOR = 8
+_BAND = 3.0
 _N_PEAKS = 2
 
 # what each population tag writes: (P traces, spectra)
@@ -229,8 +231,9 @@ def run_scenario(tag: str, params: SystemParams, outdir, strict: bool = False) -
     twins the params and their alpha = 0 twin, whose files take a
     ``_{label}`` suffix and whose summary keys a ``{label}_`` prefix.
     ``_WRITES`` says whether a tag writes P traces, spectra or both; only
-    a run without twins writes the WDA spectrum.  An unknown tag raises
-    ValueError before anything is checked or written.
+    a run without twins writes the WDA spectrum.  Every spectrum, written
+    or only picked for its peak keys, ends at omega <= 3*Omega.  An
+    unknown tag raises ValueError before anything is checked or written.
     """
     if tag != "fig2" and tag not in _WRITES:
         raise ValueError(f"unknown scenario tag {tag!r}; expected one of {sorted([*_WRITES, 'fig2'])}")
@@ -257,11 +260,12 @@ def run_scenario(tag: str, params: SystemParams, outdir, strict: bool = False) -
             if traces:
                 for kind, trace in (("niba", series), ("wda", analytic)):
                     write_csv(outdir / f"P_{kind}{suffix}.csv", ["t", "P"], [trace.times, trace.values])
-            result = fourier_spectrum(series, zero_pad_factor=_PAD_FACTOR)
+            fft_args = {"zero_pad_factor": _PAD_FACTOR, "omega_max": _BAND * prm.Omega}
+            result = fourier_spectrum(series, **fft_args)
             if spectra:
                 kinds = [("niba", result)]
                 if not twins:
-                    kinds.append(("wda", fourier_spectrum(analytic, zero_pad_factor=_PAD_FACTOR)))
+                    kinds.append(("wda", fourier_spectrum(analytic, **fft_args)))
                 for kind, spec in kinds:
                     path = outdir / f"spectrum_{kind}{suffix}.csv"
                     write_csv(path, ["omega", "magnitude"], [spec.omega, spec.magnitude])

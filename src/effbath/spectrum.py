@@ -12,7 +12,7 @@ from .gme import TimeSeries
 __all__ = ["SpectrumResult", "Peak", "fourier_spectrum", "peak_extract"]
 
 _MIN_SAMPLES = 64
-# maxima below this fraction of the global maximum are numerical dust
+# maxima below this fraction of the largest kept bin are numerical dust
 _MIN_REL_HEIGHT = 1e-6
 
 
@@ -46,22 +46,62 @@ def _windowed(values: np.ndarray, window: str) -> np.ndarray:
     raise ValueError(f"unknown window {window!r}")
 
 
-def fourier_spectrum(series: TimeSeries, window: str = "none", zero_pad_factor: int = 1) -> SpectrumResult:
+def _chirp_z(x: np.ndarray, n_pad: int, m: int) -> np.ndarray:
+    """Bins 0..m-1 of the n_pad-point DFT of ``x``, by Bluestein's chirp-z transform.
+
+    jk = (j^2 + k^2 - (k - j)^2)/2 turns the DFT into a convolution with the
+    chirp exp(i*pi*j^2/n_pad), taken as one FFT product of length the next
+    power of two >= len(x) + m - 1.  The phase is reduced mod 2*n_pad in
+    integers, so it stays exact at large j.
+    """
+    n = x.shape[0]
+    j = np.arange(max(n, m), dtype=np.int64)
+    chirp = np.exp(-1j * np.pi * ((j * j) % (2 * n_pad)) / n_pad)
+    size = 1 << (n + m - 2).bit_length()
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m] = chirp[:m].conj()
+    kernel[size - n + 1 :] = chirp[1:n][::-1].conj()
+    product = np.fft.fft(x * chirp[:n], size) * np.fft.fft(kernel)
+    return chirp[:m] * np.fft.ifft(product)[:m]
+
+
+def fourier_spectrum(
+    series: TimeSeries, window: str = "none", zero_pad_factor: int = 1, omega_max: float | None = None
+) -> SpectrumResult:
     """Magnitude of the DFT of the mean-removed (optionally windowed) trace.
 
     The mean is removed so the slow decay offset does not leak into the
     low-frequency bins; the default window is none because the validated
     traces decay well inside the horizon.
+
+    The grid is that of the n*zero_pad_factor-point real FFT,
+    2*pi*rfftfreq(n_pad, h).  ``omega_max`` keeps only its bins with
+    omega <= omega_max; it must be positive and finite.  The path follows
+    the band: with ``omega_max`` None, or at or past the last bin
+    (Nyquist), the spectrum is ``np.fft.rfft`` to Nyquist; below it, the
+    kept bins come from a chirp-z transform (Rabiner, Schafer & Rader,
+    IEEE Trans. Audio Electroacoust. 17 (1969) 86), which costs a
+    power-of-two FFT of length n + m - 1 for m bins, instead of one of the
+    padded length.  Its omega column equals the head of the full grid
+    exactly, and its magnitudes agree with the full FFT's within 1e-14 of
+    the largest.
     """
     n = series.values.shape[0]
     if n < _MIN_SAMPLES:
         raise TooShortError(f"need at least {_MIN_SAMPLES} samples, got {n}")
     if zero_pad_factor < 1:
         raise NonPositiveError(f"zero_pad_factor must be at least 1, got {zero_pad_factor}")
+    if omega_max is not None and not 0.0 < omega_max < np.inf:
+        raise NonPositiveError(f"omega_max must be positive and finite, got {omega_max}")
     processed = _windowed(series.values, window)
     n_pad = n * int(zero_pad_factor)
-    magnitude = np.abs(np.fft.rfft(processed, n=n_pad))
     omega = 2.0 * np.pi * np.fft.rfftfreq(n_pad, d=series.h)
+    m = omega.shape[0] if omega_max is None else int(np.count_nonzero(omega <= omega_max))
+    if m == omega.shape[0]:
+        magnitude = np.abs(np.fft.rfft(processed, n=n_pad))
+    else:
+        omega = omega[:m]
+        magnitude = np.abs(_chirp_z(processed, n_pad, m))
     return SpectrumResult(
         omega=omega,
         magnitude=magnitude,
@@ -97,10 +137,11 @@ def peak_extract(spectrum: SpectrumResult, k: int) -> list[Peak]:
     """Top-k local maxima of the magnitude, tallest first.
 
     Each peak is refined by quadratic interpolation over three bins.
-    Maxima below 1e-6 of the global maximum are treated as numerical
-    dust and ignored.  If fewer than k maxima exist the available ones
-    are returned, so a list shorter than k marks the shortage; an empty
-    spectrum raises NoPeaksError.
+    Maxima below 1e-6 of the spectrum's maximum are treated as numerical
+    dust and ignored; for a band-limited spectrum that is the maximum
+    over the band, not over the bins up to Nyquist.  If fewer than k
+    maxima exist the available ones are returned, so a list shorter than
+    k marks the shortage; an empty spectrum raises NoPeaksError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -85,6 +85,10 @@ def test_figure_bundle_and_determinism(tmp_path, tag):
     assert sorted(path.name for path in out1.iterdir()) == list(_BUNDLES[tag])
     for name in _BUNDLES[tag]:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        if name.startswith("spectrum_"):
+            # the band omega <= 3*Omega (Omega = 1 here), not the bins up to Nyquist
+            omega = read_csv(out1 / name)["omega"]
+            assert omega.size == 383 and omega[-1] <= 3.0 < 2 * omega[-1] - omega[-2]
     summary = dict(line.split("=") for line in (out1 / "summary.txt").read_text().splitlines())
     assert summary["regime_flags"] == "none"
     if tag == "fig2":
@@ -206,10 +210,21 @@ def test_an_empty_config_names_the_missing_key(tmp_path, capsys):
     ["correlation", "--tau-max", "nan"],
     ["correlation", "--tau-max", "inf"],
     ["correlation", "--tau-max", "0"],
+    ["spectrum", "--omega-max", "nan"],
+    ["spectrum", "--omega-max", "inf"],
+    ["spectrum", "--omega-max", "0"],
+    ["spectrum", "--omega-max", "-1"],
 ], ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv))
-def test_a_bad_grid_is_a_usage_error(tmp_path, capsys, argv):
+def test_a_bad_grid_is_a_usage_error(tmp_path, tmp_path_factory, capsys, argv):
+    if argv[0] == "spectrum":  # a good trace, written outside tmp_path
+        trace = tmp_path_factory.mktemp("trace") / "P.csv"
+        t = np.arange(101.0)
+        write_csv(trace, ["t", "P"], [t, np.cos(0.3 * t)])
+        argv = [argv[0], str(trace), *argv[1:]]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith("effbath: error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("effbath: error: ")
+    assert argv[0] != "spectrum" or "omega_max" in err
     assert not list(tmp_path.rglob("*.csv"))
 
 
@@ -300,6 +315,27 @@ def test_spectrum_accepts_the_rounding_jitter_of_a_written_trace(tmp_path):
     t = read_csv(tmp_path / "P_niba.csv")["t"]
     assert np.abs(np.diff(t) - (t[1] - t[0])).max() > 0.0
     assert main(["spectrum", str(tmp_path / "P_niba.csv"), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_spectrum_past_nyquist_writes_the_full_rfft(tmp_path):
+    h = 0.5
+    t = h * np.arange(301.0)
+    values = np.exp(-0.01 * t) * np.cos(0.9 * t)
+    write_csv(tmp_path / "trace.csv", ["t", "P"], [t, values])
+    n_pad = 8 * t.size
+    omega = 2.0 * np.pi * np.fft.rfftfreq(n_pad, d=h)
+    write_csv(tmp_path / "reference.csv", ["omega", "magnitude"],
+              [omega, np.abs(np.fft.rfft(values - values.mean(), n=n_pad))])
+    for omega_max in ("1e9", None):
+        extra = [] if omega_max is None else ["--omega-max", omega_max]
+        out = tmp_path / f"out_{omega_max}"
+        assert main(["spectrum", str(tmp_path / "trace.csv"), "--pad", "8", "--out", str(out), *extra]) == 0
+    assert (tmp_path / "out_1e9" / "spectrum.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    reference = (tmp_path / "reference.csv").read_text().splitlines()
+    # the default band, omega <= 3, keeps the head of the omega column byte for byte
+    band = (tmp_path / "out_None" / "spectrum.csv").read_text().splitlines()
+    assert len(band) == 1 + np.count_nonzero(omega <= 3.0) < len(reference)
+    assert [row.split(",")[0] for row in band] == [row.split(",")[0] for row in reference[: len(band)]]
 
 
 def _reference_write_csv(path, header, columns):

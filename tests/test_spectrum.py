@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from effbath.errors import NoPeaksError, TooShortError
-from effbath.gme import TimeSeries
-from effbath.scenarios import peak_entries
+from effbath.gme import TimeSeries, simulate_population
+from effbath.params import build_params
+from effbath.scenarios import FIGURE_PARAMS, peak_entries, run_scenario
 from effbath.spectrum import fourier_spectrum, peak_extract
 
 
@@ -116,3 +117,52 @@ def test_population_spectrum_matches_pole_prediction(fig3_params, fig3_series):
     locs = sorted(q.omega for q in peaks)
     assert abs(locs[0] - spectrum.omega_plus) <= result.resolution
     assert abs(locs[1] - spectrum.omega_minus) <= result.resolution
+
+
+@pytest.mark.parametrize("window", ["none", "hann"])
+@pytest.mark.parametrize("pad", [1, 8])
+@pytest.mark.parametrize("n", [10_798, 4096, 1001])  # 10,798 = 2 * 5399, a prime
+def test_band_transform_matches_the_full_fft(rng, n, pad, window):
+    h = 0.05
+    series = _series(rng.standard_normal(n), h)
+    band = fourier_spectrum(series, window, pad, omega_max=3.0)
+    n_pad = n * pad
+    omega = 2.0 * np.pi * np.fft.rfftfreq(n_pad, d=h)
+    m = band.omega.size
+    assert m < omega.size  # the chirp-z path, not the rfft one
+    np.testing.assert_array_equal(band.omega, omega[:m])
+    assert band.omega[-1] <= 3.0 < omega[m]
+    processed = series.values - series.values.mean()
+    if window == "hann":
+        processed = processed * np.hanning(n)
+    full = np.abs(np.fft.rfft(processed, n=n_pad))[:m]
+    assert np.abs(band.magnitude - full).max() <= 1e-14 * full.max()
+
+
+def test_a_band_at_or_past_nyquist_is_the_full_rfft(rng):
+    h = 0.05
+    series = _series(rng.standard_normal(1001), h)
+    full = fourier_spectrum(series, "hann", 8)
+    for omega_max in (np.pi / h, full.omega[-1], 1e9):
+        result = fourier_spectrum(series, "hann", 8, omega_max=omega_max)
+        np.testing.assert_array_equal(result.omega, full.omega)
+        np.testing.assert_array_equal(result.magnitude, full.magnitude)
+
+
+@pytest.mark.parametrize("tag", ["fig3", "fig5", "fig7"])
+def test_figure_peaks_match_a_full_band_reference(tmp_path, tag):
+    # the summary's peaks come from the band omega <= 3*Omega; the same
+    # keys from the FFT up to Nyquist agree to rounding
+    params = build_params(FIGURE_PARAMS[tag])
+    run_scenario(tag, params, tmp_path)
+    summary = dict(line.split("=") for line in (tmp_path / "summary.txt").read_text().splitlines())
+    variants = [("niba_", params)]
+    if tag == "fig7":
+        variants = [("nonlinear_", params), ("linear_", params.with_alpha(0.0))]
+    for prefix, prm in variants:
+        full = fourier_spectrum(simulate_population(prm), zero_pad_factor=8)
+        reference = peak_entries(full, 2, prefix)
+        assert reference[f"{prefix}peak_shortage"] is False and summary[f"{prefix}peak_shortage"] == "0"
+        for key, value in reference.items():
+            if key.endswith(("_omega", "_height", "_half_width")):
+                assert float(summary[key]) == pytest.approx(value, rel=1e-13, abs=0.0), key
