@@ -20,6 +20,7 @@ from .gme import TimeSeries, simulate_population, time_grid
 from .params import build_params, load_config
 from .scenarios import (
     FIGURE_PARAMS,
+    SPECTRUM_BAND,
     StrictRegimeError,
     check_strict,
     peak_entries,
@@ -77,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--window", choices=("none", "hann"), default="none")
     sub.add_argument("--pad", type=int, default=1)
     sub.add_argument("--peaks", type=int, default=0, help="also report the top-k peaks")
-    sub.add_argument("--omega-max", type=float, default=3.0,
+    sub.add_argument("--omega-max", type=float, default=SPECTRUM_BAND,
                      help="band end, in the angular-frequency units of the t column")
 
     sub = commands.add_parser("figure", help="regenerate one figure's data bundle")

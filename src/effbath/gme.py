@@ -30,6 +30,7 @@ from .params import DerivedScales, SystemParams, derived_scales
 __all__ = [
     "KernelGrid",
     "TimeSeries",
+    "fastest_frequency",
     "default_step",
     "time_grid",
     "niba_kernels",
@@ -64,7 +65,7 @@ class TimeSeries:
         return self.h * np.arange(self.values.shape[0])
 
 
-def _fastest_frequency(p: SystemParams, scales: DerivedScales) -> float:
+def fastest_frequency(p: SystemParams, scales: DerivedScales) -> float:
     """Fastest oscillation the kernels carry: Omega1, Delta or |epsilon|."""
     return max(scales.Omega1, p.Delta, abs(p.epsilon))
 
@@ -77,7 +78,7 @@ def default_step(p: SystemParams, scales: DerivedScales | None = None) -> float:
     """
     if scales is None:
         scales = derived_scales(p)
-    fastest = max(_fastest_frequency(p, scales), 1e-12)
+    fastest = max(fastest_frequency(p, scales), 1e-12)
     return 2.0 * math.pi / (_DEFAULT_POINTS_PER_PERIOD * fastest)
 
 
@@ -153,7 +154,7 @@ def simulate_population(
     step, n_steps = time_grid(p, scales, step, horizon)
 
     limit = 2.0 * math.pi / _MIN_POINTS_PER_PERIOD
-    if step * _fastest_frequency(p, scales) > limit:
+    if step * fastest_frequency(p, scales) > limit:
         raise StepTooLargeError(
             f"step {step:.4g} does not resolve the fastest oscillation; "
             f"need h*max(Omega1, Delta, |epsilon|) <= {limit:.4g}"

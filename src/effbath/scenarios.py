@@ -14,7 +14,7 @@ import numpy as np
 
 from .correlation import closed_form_correlation, quadrature_correlation, wda_coefficients, wda_split
 from .errors import EffbathError, NonPositiveError
-from .gme import TimeSeries, simulate_population
+from .gme import TimeSeries, fastest_frequency, simulate_population
 from .params import SystemParams, convert_couplings, derived_scales, regime_flags
 from .spectral import (
     density_peak,
@@ -27,7 +27,7 @@ from .spectral import (
 from .spectrum import SpectrumResult, fourier_spectrum, peak_extract
 from .wda import bloch_siegert_shift, build_wda_spectrum, expansion_branch, wda_population
 
-__all__ = ["FIGURE_PARAMS", "StrictRegimeError", "run_scenario"]
+__all__ = ["FIGURE_PARAMS", "SPECTRUM_BAND", "StrictRegimeError", "run_scenario"]
 
 _FIG3 = {
     "Omega": 1.0,
@@ -69,11 +69,11 @@ class StrictRegimeError(EffbathError):
     """Raised when --strict is set and a regime flag is violated."""
 
 
-# every spectrum is zero padded 8x, kept to omega <= 3*Omega (where every
-# peak lies) and summarized by its two tallest peaks
+# every spectrum is zero padded 8x and summarized by its two tallest peaks
 _PAD_FACTOR = 8
-_BAND = 3.0
 _N_PEAKS = 2
+# spectra end at omega <= SPECTRUM_BAND*Omega, or at twice the fastest line if that lies higher
+SPECTRUM_BAND = 3.0
 
 # what each population tag writes: (P traces, spectra)
 _WRITES = {"fig3": (True, False), "fig5": (True, False), "fig7": (True, False),
@@ -232,8 +232,10 @@ def run_scenario(tag: str, params: SystemParams, outdir, strict: bool = False) -
     ``_{label}`` suffix and whose summary keys a ``{label}_`` prefix.
     ``_WRITES`` says whether a tag writes P traces, spectra or both; only
     a run without twins writes the WDA spectrum.  Every spectrum, written
-    or only picked for its peak keys, ends at omega <= 3*Omega.  An
-    unknown tag raises ValueError before anything is checked or written.
+    or only picked for its peak keys, ends at omega <= 3*Omega, or at
+    twice the fastest of Omega1, Delta and |epsilon| if that lies higher;
+    for the figure sets that is 3*Omega.  An unknown tag raises
+    ValueError before anything is checked or written.
     """
     if tag != "fig2" and tag not in _WRITES:
         raise ValueError(f"unknown scenario tag {tag!r}; expected one of {sorted([*_WRITES, 'fig2'])}")
@@ -260,12 +262,12 @@ def run_scenario(tag: str, params: SystemParams, outdir, strict: bool = False) -
             if traces:
                 for kind, trace in (("niba", series), ("wda", analytic)):
                     write_csv(outdir / f"P_{kind}{suffix}.csv", ["t", "P"], [trace.times, trace.values])
-            fft_args = {"zero_pad_factor": _PAD_FACTOR, "omega_max": _BAND * prm.Omega}
-            result = fourier_spectrum(series, **fft_args)
+            band = max(SPECTRUM_BAND * prm.Omega, 2.0 * fastest_frequency(prm, derived_scales(prm)))
+            result = fourier_spectrum(series, zero_pad_factor=_PAD_FACTOR, omega_max=band)
             if spectra:
                 kinds = [("niba", result)]
                 if not twins:
-                    kinds.append(("wda", fourier_spectrum(analytic, **fft_args)))
+                    kinds.append(("wda", fourier_spectrum(analytic, zero_pad_factor=_PAD_FACTOR, omega_max=band)))
                 for kind, spec in kinds:
                     path = outdir / f"spectrum_{kind}{suffix}.csv"
                     write_csv(path, ["omega", "magnitude"], [spec.omega, spec.magnitude])

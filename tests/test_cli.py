@@ -317,6 +317,19 @@ def test_spectrum_accepts_the_rounding_jitter_of_a_written_trace(tmp_path):
     assert main(["spectrum", str(tmp_path / "P_niba.csv"), "--out", str(tmp_path / "out")]) == 0
 
 
+def test_spectrum_of_a_line_past_the_band_is_an_error(tmp_path, capsys):
+    t = 0.05 * np.arange(2001.0)
+    write_csv(tmp_path / "trace.csv", ["t", "P"], [t, np.exp(-0.02 * t) * (np.cos(t) + np.cos(4.0 * t))])
+    argv = ["spectrum", str(tmp_path / "trace.csv"), "--pad", "8", "--peaks", "2", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("effbath: error: ") and "omega_max = 3 " in err
+    assert not (tmp_path / "out").exists()
+    assert main([*argv, "--omega-max", "6"]) == 0
+    peaks = dict(line.split("=") for line in (tmp_path / "out" / "peaks.txt").read_text().splitlines())
+    assert sorted(round(float(peaks[f"peak{i}_omega"]), 1) for i in (1, 2)) == [1.0, 4.0]
+
+
 def test_spectrum_past_nyquist_writes_the_full_rfft(tmp_path):
     h = 0.5
     t = h * np.arange(301.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from effbath.errors import NoPeaksError, TooShortError
+from effbath.errors import BandTooNarrowError, NoPeaksError, TooShortError
 from effbath.gme import TimeSeries, simulate_population
 from effbath.params import build_params
 from effbath.scenarios import FIGURE_PARAMS, peak_entries, run_scenario
@@ -123,8 +123,12 @@ def test_population_spectrum_matches_pole_prediction(fig3_params, fig3_series):
 @pytest.mark.parametrize("pad", [1, 8])
 @pytest.mark.parametrize("n", [10_798, 4096, 1001])  # 10,798 = 2 * 5399, a prime
 def test_band_transform_matches_the_full_fft(rng, n, pad, window):
+    # twelve random lines inside the band; white noise would fill every
+    # bin up to Nyquist, which the band check rejects
     h = 0.05
-    series = _series(rng.standard_normal(n), h)
+    t = h * np.arange(n)
+    amplitudes, freqs, phases = rng.standard_normal(12), rng.uniform(0.2, 2.0, 12), rng.uniform(0.0, 6.3, 12)
+    series = _series(np.exp(-0.01 * t) * (amplitudes * np.cos(np.outer(t, freqs) + phases)).sum(axis=1), h)
     band = fourier_spectrum(series, window, pad, omega_max=3.0)
     n_pad = n * pad
     omega = 2.0 * np.pi * np.fft.rfftfreq(n_pad, d=h)
@@ -149,11 +153,25 @@ def test_a_band_at_or_past_nyquist_is_the_full_rfft(rng):
         np.testing.assert_array_equal(result.magnitude, full.magnitude)
 
 
-@pytest.mark.parametrize("tag", ["fig3", "fig5", "fig7"])
-def test_figure_peaks_match_a_full_band_reference(tmp_path, tag):
-    # the summary's peaks come from the band omega <= 3*Omega; the same
-    # keys from the FFT up to Nyquist agree to rounding
-    params = build_params(FIGURE_PARAMS[tag])
+@pytest.mark.parametrize("line", [4.0, 2.9], ids=["past_the_band", "at_its_edge"])
+def test_a_band_that_misses_a_line_raises(line):
+    t = 0.05 * np.arange(2000)
+    series = _series(np.exp(-0.02 * t) * (np.cos(t) + 0.1 * np.cos(line * t)))
+    with pytest.raises(BandTooNarrowError, match="omega_max = 3 "):
+        fourier_spectrum(series, zero_pad_factor=8, omega_max=3.0)
+    # a band wide enough keeps both lines (the window keeps the weak one above the strong one's sidelobes)
+    peaks = peak_extract(fourier_spectrum(series, "hann", 8, omega_max=5.0), 2)
+    assert sorted(round(peak.omega, 1) for peak in peaks) == [1.0, line]
+
+
+@pytest.mark.parametrize("tag, overrides", [
+    ("fig3", {}), ("fig5", {}), ("fig7", {}), ("custom", {"Delta": 4.0}),
+], ids=["fig3", "fig5", "fig7", "custom_Delta_4"])
+def test_figure_peaks_match_a_full_band_reference(tmp_path, tag, overrides):
+    # the summary's peaks come from the band omega <= 3*Omega, or twice the
+    # fastest line above it; the same keys from the FFT up to Nyquist agree
+    # to rounding
+    params = build_params(dict(FIGURE_PARAMS.get(tag, FIGURE_PARAMS["fig3"]), **overrides))
     run_scenario(tag, params, tmp_path)
     summary = dict(line.split("=") for line in (tmp_path / "summary.txt").read_text().splitlines())
     variants = [("niba_", params)]
@@ -166,3 +184,5 @@ def test_figure_peaks_match_a_full_band_reference(tmp_path, tag):
         for key, value in reference.items():
             if key.endswith(("_omega", "_height", "_half_width")):
                 assert float(summary[key]) == pytest.approx(value, rel=1e-13, abs=0.0), key
+    if tag == "custom":  # the qubit's line, near Delta = 4, lies past 3*Omega
+        assert max(float(summary["niba_peak1_omega"]), float(summary["niba_peak2_omega"])) > 3.0
