@@ -203,7 +203,7 @@ def convert_couplings(p: SystemParams) -> tuple[float, float]:
 
 
 def load_config(path) -> dict[str, float]:
-    """Read a flat key=value config file; '#' starts a comment."""
+    """Read a flat key=value config file; '#' starts a comment, and a bad line raises ValueError naming it."""
     out: dict[str, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -213,5 +213,10 @@ def load_config(path) -> dict[str, float]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            out[key] = float(value)
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: {key} is set twice")
+            try:
+                out[key] = float(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} = {value!r} is not a number") from None
     return out

@@ -3,12 +3,13 @@
 The kernel expanded to first order in the damping is resummed into
 harmonics of the shifted oscillator frequency; the argument of that
 Bessel resummation is small in the validated regime, so the series is
-truncated after the first harmonic.  The truncated kernel has an
-elementary Laplace transform, which gives the oscillation frequencies
-and real pole weights from the undamped pole equation.  The poles and
-residues are then expanded to first order in the damping: each pole
-gains a decay rate, and each residue an imaginary part that enters the
-trace as a sine amplitude.
+truncated after the first harmonic.  The truncated kernel and the trace
+are each an ``ExpSum``, a sum of t**m * exp(s*t) terms whose Laplace
+transform is a sum of poles m!/(lam - s)**(m + 1).  The undamped pole
+equation gives the oscillation frequencies and real pole weights; the
+poles and residues are then expanded to first order in the damping: each
+pole gains a decay rate, and each residue an imaginary part that enters
+the trace as a sine amplitude.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import (
 from .params import DerivedScales, SystemParams, derived_scales
 
 __all__ = [
+    "ExpSum",
     "EffectiveTunneling",
     "WdaSpectrum",
     "effective_tunneling",
@@ -96,6 +98,46 @@ def _i0(x: float) -> float:
 
 
 @dataclass(frozen=True)
+class ExpSum:
+    """The real function f(t) = sum_k c_k * t**m_k * exp(s_k*t), its terms closed under conjugation.
+
+    ``f(t)`` takes each term with Im s > 0 as 2*Re, with one real exp and one
+    cos/sin, skips its conjugate, and takes a term with real s once.
+    """
+
+    rates: tuple[complex, ...]
+    amps: tuple[complex, ...]
+    powers: tuple[int, ...]
+
+    @classmethod
+    def real(cls, rows) -> "ExpSum":
+        """The sum of Re(a * t**m * exp(s*t)) over rows (a, m, s): conjugate halves, or Re a at real s."""
+        terms = [(0.5 * a, m, s) if s.imag else (a.real, m, s) for a, m, s in rows]
+        terms += [(c.conjugate(), m, s.conjugate()) for c, m, s in terms if s.imag]
+        amps, powers, rates = zip(*terms)
+        return cls(rates, amps, powers)
+
+    def laplace(self, lam: complex, order: int = 0) -> complex:
+        """d^order/dlam^order of the Laplace transform of f, the sum of
+        c * (-1)**order * (m + order)! / (lam - s)**(m + order + 1); fsum rounds each part once."""
+        terms = [c * math.factorial(m + order) / (lam - s) ** (m + order + 1)
+                 for s, c, m in zip(self.rates, self.amps, self.powers)]
+        total = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+        return -total if order % 2 else total
+
+    def __call__(self, t):
+        time = np.asarray(t, dtype=float)
+        result = np.zeros_like(time)
+        for s, c, m in zip(self.rates, self.amps, self.powers):
+            if s.imag >= 0.0:
+                a = 2.0 * c if s.imag > 0.0 else c
+                phase = s.imag * time
+                term = np.exp(s.real * time) * (a.real * np.cos(phase) - a.imag * np.sin(phase))
+                result += term * time**m if m else term
+        return result
+
+
+@dataclass(frozen=True)
 class EffectiveTunneling:
     """Dressed tunneling amplitudes of the harmonic-resummed kernel."""
 
@@ -120,6 +162,15 @@ class WdaSpectrum:
     sine_plus: float
     sine_minus: float
 
+    def poles(self) -> ExpSum:
+        """The trace: poles -gamma*kappa +- i*omega with residues (weight -+ i*sine)/2, so that each
+        pair is exp(-gamma*kappa*t) * (weight*cos(omega*t) + sine*sin(omega*t))."""
+        damping = -self.gamma
+        return ExpSum.real([
+            (complex(self.weight_plus, -self.sine_plus), 0, complex(damping * self.kappa_plus, self.omega_plus)),
+            (complex(self.weight_minus, -self.sine_minus), 0, complex(damping * self.kappa_minus, self.omega_minus)),
+        ])
+
 
 def _sinh_half(x: float) -> float:
     return math.inf if x > 1400.0 else math.sinh(0.5 * x)
@@ -139,23 +190,12 @@ def effective_tunneling(
     """
     u0_abs = coeffs.W / _sinh_half(beta * scales.Omega1)
     if u0_abs >= 1.0:
-        warnings.warn(
-            f"kernel truncation unreliable: |u0| = {u0_abs:.3g} >= 1",
-            RegimeWarning,
-            stacklevel=2,
-        )
-    exp_y = math.exp(coeffs.Y)
-    delta0c_sq = delta**2 * exp_y * _i0(u0_abs)
+        warnings.warn(f"kernel truncation unreliable: |u0| = {u0_abs:.3g} >= 1", RegimeWarning, stacklevel=2)
+    scale = delta**2 * math.exp(coeffs.Y)
     # first harmonic linearized in u0; |u0|*cosh(beta*Omega1/2) equals
     # W*coth(beta*Omega1/2) = -Y, which stays finite at any temperature
-    delta1c_sq = delta**2 * exp_y * (-coeffs.Y)
-    delta1s_sq = delta**2 * exp_y * coeffs.W
-    return EffectiveTunneling(
-        u0=1j * u0_abs,
-        delta0c=math.sqrt(delta0c_sq),
-        delta1c=math.sqrt(delta1c_sq),
-        delta1s=math.sqrt(delta1s_sq),
-    )
+    return EffectiveTunneling(u0=1j * u0_abs, delta0c=math.sqrt(scale * _i0(u0_abs)),
+                              delta1c=math.sqrt(scale * -coeffs.Y), delta1s=math.sqrt(scale * coeffs.W))
 
 
 def pole_frequencies(delta0c: float, delta1c: float, omega1: float) -> tuple[float, float]:
@@ -180,62 +220,45 @@ def pole_frequencies(delta0c: float, delta1c: float, omega1: float) -> tuple[flo
     return math.sqrt(-lam2_plus), math.sqrt(-lam2_minus)
 
 
-def _kernel_terms(tun: EffectiveTunneling, coeffs: WdaCoefficients, omega1: float):
-    """Elementary pieces (coef, tau_power, kind, frequency) of the kernel.
+def _kernel(tun: EffectiveTunneling, coeffs: WdaCoefficients, omega1: float, damped: bool = True) -> ExpSum:
+    """The truncated kernel, or with ``damped=False`` its undamped part K0.
 
     The kernel is d0c^2*(1 - S1) + d1c^2*cos(w1 t)*(1 - S1)
-    - d1s^2*sin(w1 t)*R1 with products reduced to single harmonics.
+    - d1s^2*sin(w1 t)*R1 with products reduced to single harmonics.  Each
+    row (a, m, s) is Re(a * t**m * exp(s*t)): a cosine row has a real a,
+    a sine row an imaginary one.  The first two rows are K0.
     """
-    d0 = tun.delta0c**2
-    d1c = tun.delta1c**2
-    d1s = tun.delta1s**2
+    d0, d1c, d1s = tun.delta0c**2, tun.delta1c**2, tun.delta1s**2
     a, b, c, v = coeffs.A, coeffs.B, coeffs.C, coeffs.V
-    w1 = omega1
-    w2 = 2.0 * omega1
-    return [
-        (d0, 0, "cos", 0.0),
-        (-d0 * a, 1, "cos", w1),
-        (-d0 * b, 1, "cos", 0.0),
-        (-d0 * c, 0, "sin", w1),
-        (d1c, 0, "cos", w1),
-        (-0.5 * d1c * a, 1, "cos", 0.0),
-        (-0.5 * d1c * a, 1, "cos", w2),
-        (-d1c * b, 1, "cos", w1),
-        (-0.5 * d1c * c, 0, "sin", w2),
-        (-d1s * v, 0, "sin", w1),
-        (0.5 * d1s * v, 0, "sin", w2),
-        (0.25 * d1s * v * w1, 1, "cos", 0.0),
-        (-0.25 * d1s * v * w1, 1, "cos", w2),
+    w1, w2 = 1j * omega1, 2j * omega1
+    rows = [(d0, 0, 0j), (d1c, 0, w1)]
+    if not damped:
+        return ExpSum.real(rows)
+    rows += [
+        (-d0 * a, 1, w1),
+        (-d0 * b, 1, 0j),
+        (1j * d0 * c, 0, w1),
+        (-0.5 * d1c * a, 1, 0j),
+        (-0.5 * d1c * a, 1, w2),
+        (-d1c * b, 1, w1),
+        (0.5j * d1c * c, 0, w2),
+        (1j * d1s * v, 0, w1),
+        (-0.5j * d1s * v, 0, w2),
+        (0.25 * d1s * v * omega1, 1, 0j),
+        (-0.25 * d1s * v * omega1, 1, w2),
     ]
-
-
-def _elementary_transform(tau_power: int, kind: str, freq: float, lam: complex) -> complex:
-    den = lam * lam + freq * freq
-    if kind == "cos":
-        if tau_power == 0:
-            return lam / den
-        if tau_power == 1:
-            return (lam * lam - freq * freq) / den**2
-        return 2.0 * lam * (lam * lam - 3.0 * freq * freq) / den**3
-    if tau_power == 0:
-        return freq / den
-    if tau_power == 1:
-        return 2.0 * freq * lam / den**2
-    return 2.0 * freq * (3.0 * lam * lam - freq * freq) / den**3
+    return ExpSum.real(rows)
 
 
 def kernel_laplace(lam: complex, tun: EffectiveTunneling, coeffs: WdaCoefficients, omega1: float):
-    """Closed-form Laplace transform of the truncated kernel and its derivative.
+    """Laplace transform of the truncated kernel and its derivative -L[tau*K].
 
-    The derivative uses d/d.lam L[f] = -L[tau*f], which only bumps the
-    tau power of each elementary piece.
+    The kernel is an exponential sum, so both are sums of its poles: a
+    term t**m * exp(s*t) gives m!/(lam - s)**(m + 1).  Near a kernel
+    frequency this keeps the digits that lam/(lam**2 + w**2) cancels.
     """
-    value = 0.0 + 0.0j
-    deriv = 0.0 + 0.0j
-    for coef, tau_power, kind, freq in _kernel_terms(tun, coeffs, omega1):
-        value += coef * _elementary_transform(tau_power, kind, freq, lam)
-        deriv -= coef * _elementary_transform(tau_power + 1, kind, freq, lam)
-    return value, deriv
+    kernel = _kernel(tun, coeffs, omega1)
+    return kernel.laplace(lam), kernel.laplace(lam, 1)
 
 
 def decay_rates(
@@ -275,15 +298,11 @@ def decay_rates(
             raise NoConvergenceError(
                 f"pole search from seed {seed:.6g} stalled at |residual| = {abs(residual):.3e}"
             )
-        own = abs(lam - seeds[which])
-        other = abs(lam - seeds[1 - which])
-        if other < own:
+        if abs(lam - seeds[1 - which]) < abs(lam - seed):
             raise RootSwapError(f"root {lam:.6g} is nearer the other seed")
         roots.append(lam)
 
-    kappa_plus = -roots[0].real / gamma
-    kappa_minus = -roots[1].real / gamma
-    return kappa_plus, kappa_minus, roots[0], roots[1]
+    return -roots[0].real / gamma, -roots[1].real / gamma, roots[0], roots[1]
 
 
 def first_order_pole(
@@ -300,7 +319,8 @@ def first_order_pole(
     K0 + K1 and let r0 = 1/(1 + K0'(i*omega)) = weight/2 be the undamped
     residue.  The pole of 1/(lam + K) then moves by -r0*K1, one Newton
     step from i*omega with the undamped slope, and its residue by
-    r1 = -r0**2 * (K1' - r0*K1*K0''), all taken at lam = i*omega.  There
+    r1 = -r0**2 * (K1' - r0*K1*K0''), all taken at lam = i*omega; K0'' is
+    the second derivative of the undamped rows' exponential sum.  There
     K0 is imaginary and K0' real, while K1 is real and K1', K0'' are
     imaginary; so Re K and Im K' of the full transform are K1 and K1'/i,
     the shift is a pure decay rate gamma*kappa = r0*K1, and r1 is
@@ -312,9 +332,7 @@ def first_order_pole(
         return 0.0, 0.0
     lam = 1j * omega
     value, deriv = kernel_laplace(lam, tun, coeffs, omega1)
-    # K0'' from the two zeroth-order pieces of the kernel
-    curvature = tun.delta0c**2 * _elementary_transform(2, "cos", 0.0, lam)
-    curvature += tun.delta1c**2 * _elementary_transform(2, "cos", omega1, lam)
+    curvature = _kernel(tun, coeffs, omega1, damped=False).laplace(lam, 2)
     r0 = 0.5 * weight
     shift = value.real
     sine = 2.0 * r0**2 * (deriv.imag - r0 * shift * curvature.imag)
@@ -328,21 +346,13 @@ def build_wda_spectrum(p: SystemParams, scales: DerivedScales | None = None) -> 
     coeffs = wda_coefficients(p, scales)
     tun = effective_tunneling(coeffs, scales, p.Delta, p.beta)
     omega_plus, omega_minus = pole_frequencies(tun.delta0c, tun.delta1c, scales.Omega1)
-    lam2_plus = -omega_plus**2
-    lam2_minus = -omega_minus**2
-    if lam2_plus == lam2_minus:
-        # poles coincide only for a decoupled qubit exactly at the shifted
-        # frequency; the second pole then carries no amplitude
-        weight_plus = 1.0
-    else:
-        weight_plus = (lam2_plus + scales.Omega1**2) / (lam2_plus - lam2_minus)
+    gap = omega_minus**2 - omega_plus**2
+    # poles coincide only for a decoupled qubit exactly at the shifted
+    # frequency; the second pole then carries no amplitude
+    weight_plus = (scales.Omega1**2 - omega_plus**2) / gap if gap else 1.0
     weight_minus = 1.0 - weight_plus  # exact complement by construction
-    kappa_plus, sine_plus = first_order_pole(
-        tun, coeffs, scales.Omega1, omega_plus, weight_plus, p.gamma
-    )
-    kappa_minus, sine_minus = first_order_pole(
-        tun, coeffs, scales.Omega1, omega_minus, weight_minus, p.gamma
-    )
+    kappa_plus, sine_plus = first_order_pole(tun, coeffs, scales.Omega1, omega_plus, weight_plus, p.gamma)
+    kappa_minus, sine_minus = first_order_pole(tun, coeffs, scales.Omega1, omega_minus, weight_minus, p.gamma)
     return WdaSpectrum(
         u0=tun.u0,
         gamma=p.gamma,
@@ -358,23 +368,8 @@ def build_wda_spectrum(p: SystemParams, scales: DerivedScales | None = None) -> 
 
 
 def wda_population(t, spectrum: WdaSpectrum):
-    """Analytic population trace P(t); P(0) = 1 exactly (weights sum to 1).
-
-    Each pole pair contributes
-    exp(-gamma*kappa*t) * (weight*cos(omega*t) + sine*sin(omega*t)),
-    its pole and residue to first order in the damping.
-    """
-    time = np.asarray(t, dtype=float)
-    result = np.zeros_like(time)
-    for weight, sine, omega, kappa in (
-        (spectrum.weight_plus, spectrum.sine_plus, spectrum.omega_plus, spectrum.kappa_plus),
-        (spectrum.weight_minus, spectrum.sine_minus, spectrum.omega_minus, spectrum.kappa_minus),
-    ):
-        phase = omega * time
-        result += np.exp(-spectrum.gamma * kappa * time) * (
-            weight * np.cos(phase) + sine * np.sin(phase)
-        )
-    return result
+    """Analytic population trace P(t), the sum ``spectrum.poles()``; P(0) = 1 exactly (weights sum to 1)."""
+    return spectrum.poles()(t)
 
 
 def bloch_siegert_shift(p: SystemParams) -> float:
@@ -430,6 +425,6 @@ def truncation_ratio_n2(tun: EffectiveTunneling, coeffs: WdaCoefficients, beta: 
     """
     if tun.delta1c == 0.0:
         return 0.0
-    inv_sinh_sq = 0.0 if beta * omega1 > 1400.0 else 1.0 / math.sinh(0.5 * beta * omega1) ** 2
+    inv_sinh_sq = (1.0 / _sinh_half(beta * omega1)) ** 2
     delta2c_sq = 0.25 * (tun.delta0c**2 / _i0(abs(tun.u0))) * coeffs.W**2 * (2.0 + inv_sinh_sq)
     return delta2c_sq / tun.delta1c**2

@@ -169,6 +169,16 @@ def test_a_config_typo_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("effbath: error: ") and "Mass" in err and "q_0" in err
     assert not (tmp_path / "out").exists()
+    # a repeated key is not resolved to its last value, and a word is not a number
+    good = "Omega=1\nalpha=0.01\ng=0.18\ngamma=0.08\nbeta=10\nDelta=1\nepsilon=0\n"
+    for name, text, where in (("twice.cfg", good + "g=0.018\n", ":8: g is set twice"),
+                              ("word.cfg", good.replace("beta=10", "beta=abc"), ":5: beta = 'abc' is not a number")):
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        assert main(["wda", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("effbath: error: ") and f"{cfg}{where}" in err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["wda", "niba"])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -194,3 +195,12 @@ def test_load_config(tmp_path):
     bad.write_text("Omega 1.0\n")
     with pytest.raises(ValueError, match="key=value"):
         load_config(bad)
+    # a repeated key, and a value that is not a number, name the file and line
+    twice = tmp_path / "twice.cfg"
+    twice.write_text("g=0.18\nOmega=1\ng=0.018\n")
+    with pytest.raises(ValueError, match=re.escape(f"{twice}:3: g is set twice")):
+        load_config(twice)
+    word = tmp_path / "word.cfg"
+    word.write_text("Omega=1\ng = abc\n")
+    with pytest.raises(ValueError, match=re.escape(f"{word}:2: g = 'abc' is not a number")):
+        load_config(word)

@@ -10,7 +10,9 @@ from effbath.correlation import wda_coefficients, wda_split
 from effbath.errors import ComplexFrequencyError, RegimeWarning
 from effbath.params import build_params, derived_scales
 from effbath.wda import (
+    ExpSum,
     _i0,
+    _kernel,
     bloch_siegert_shift,
     build_wda_spectrum,
     decay_rates,
@@ -146,22 +148,41 @@ def test_expansion_consistency_envelope():
     assert worst <= 20.0
 
 
-def test_kernel_laplace_matches_numerical_transform(fig3_params):
+def _kernel_time(tau, coeffs, scales, tun, damped=1):
+    """The truncated kernel from the correlation pieces; damped=0 gives K0, where S1 = R1 = 0."""
+    tau = np.asarray(tau, dtype=float)
+    _, s1, _, r1 = wda_split(tau, coeffs, scales)
+    s1, r1 = damped * s1, damped * r1
+    phase = scales.Omega1 * tau
+    return (tun.delta0c**2 * (1 - s1)
+            + tun.delta1c**2 * np.cos(phase) * (1 - s1)
+            - tun.delta1s**2 * np.sin(phase) * r1)
+
+
+def test_exp_sum_evaluates_the_kernel(fig3_params):
+    # real rates taken once, conjugate pairs as 2*Re, tau powers applied
     coeffs, scales, tun = _tunneling(fig3_params)
+    undamped, kernel = (_kernel(tun, coeffs, scales.Omega1, damped) for damped in (False, True))
+    tau = np.linspace(0.0, 50.0, 1001)
+    np.testing.assert_allclose(kernel(tau), _kernel_time(tau, coeffs, scales, tun), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(undamped(tau), _kernel_time(tau, coeffs, scales, tun, 0), rtol=0, atol=1e-15)
 
-    def kernel_time(tau):
-        tau = np.asarray(tau, dtype=float)
-        _, s1, _, r1 = wda_split(tau, coeffs, scales)
-        phase = scales.Omega1 * tau
-        return (tun.delta0c**2 * (1 - s1)
-                + tun.delta1c**2 * np.cos(phase) * (1 - s1)
-                - tun.delta1s**2 * np.sin(phase) * r1)
 
+def test_kernel_laplace_matches_numerical_transform(fig3_params):
+    # the value, the derivative -L[tau*K] and the undamped curvature
+    # L[tau^2*K0], which together feed every sine amplitude
+    coeffs, scales, tun = _tunneling(fig3_params)
+    undamped = _kernel(tun, coeffs, scales.Omega1, damped=False)
     for lam in (0.3 + 0.9j, 0.8 + 1.7j):
-        numeric = (quad(lambda t: float((kernel_time(t) * np.exp(-lam * t)).real), 0, 200, limit=400)[0]
-                   + 1j * quad(lambda t: float((kernel_time(t) * np.exp(-lam * t)).imag), 0, 200, limit=400)[0])
-        analytic, _ = kernel_laplace(lam, tun, coeffs, scales.Omega1)
-        assert analytic == pytest.approx(numeric, abs=1e-8)
+        value, deriv = kernel_laplace(lam, tun, coeffs, scales.Omega1)
+        for analytic, tau_power, sign, damped in ((value, 0, 1, 1), (deriv, 1, -1, 1),
+                                                  (undamped.laplace(lam, 2), 2, 1, 0)):
+            def integrand(t, part):
+                return float(part(sign * t**tau_power * _kernel_time(t, coeffs, scales, tun, damped) * np.exp(-lam * t)))
+
+            numeric = (quad(integrand, 0, 200, args=(np.real,), limit=400)[0]
+                       + 1j * quad(integrand, 0, 200, args=(np.imag,), limit=400)[0])
+            assert analytic == pytest.approx(numeric, abs=1e-8)
 
 
 def test_decay_rates_zero_damping(free_params):
@@ -241,31 +262,80 @@ def test_first_order_pole_is_the_slope_of_the_exact_root(fig3_params):
 
 
 def _matrix_pencil(times, values, n_poles):
-    """Poles and residues of a sum of damped exponentials fitted to a trace."""
+    """The sum of damped exponentials fitted to a trace (Hua & Sarkar 1990)."""
     step = times[1] - times[0]
     rows = len(values) // 2
     hankel = np.array([values[i:i + rows + 1] for i in range(len(values) - rows)])
     basis = np.linalg.svd(hankel, full_matrices=False)[2][:n_poles].conj().T
     poles = np.log(np.linalg.eigvals(np.linalg.pinv(basis[:-1]) @ basis[1:])) / step
     residues = np.linalg.lstsq(np.exp(np.outer(times, poles)), values, rcond=None)[0]
-    return poles, residues
+    return ExpSum(tuple(poles.tolist()), tuple(residues.tolist()), (0,) * n_poles)
 
 
 def test_first_order_poles_match_the_march(fig3_params, fig3_series):
     # the march's dominant poles and residues, fitted by a matrix pencil,
     # against the analytic ones: rates to relative O(gamma), and residue
     # phases to O(gamma^2) (a real-weight trace misses them by O(gamma))
-    spectrum = build_wda_spectrum(fig3_params)
+    analytic = build_wda_spectrum(fig3_params).poles()
     gamma = fig3_params.gamma
-    poles, residues = _matrix_pencil(fig3_series.times[::20], fig3_series.values[::20], 8)
-    for omega, kappa, weight, sine in (
-        (spectrum.omega_plus, spectrum.kappa_plus, spectrum.weight_plus, spectrum.sine_plus),
-        (spectrum.omega_minus, spectrum.kappa_minus, spectrum.weight_minus, spectrum.sine_minus),
-    ):
-        k = np.argmin(np.abs(poles - 1j * omega))
-        assert abs(poles[k].imag - omega) < 0.01
-        assert -poles[k].real == pytest.approx(gamma * kappa, rel=gamma)
-        assert abs(np.angle(residues[k]) - math.atan2(-sine, weight)) <= gamma**2
+    fit = _matrix_pencil(fig3_series.times[::20], fig3_series.values[::20], 8)
+    for rate, amp in zip(analytic.rates, analytic.amps):
+        k = np.argmin(np.abs(np.array(fit.rates) - rate))
+        assert abs(fit.rates[k].imag - rate.imag) < 0.01
+        assert fit.rates[k].real == pytest.approx(rate.real, rel=gamma)
+        assert abs(np.angle(fit.amps[k]) - np.angle(amp)) <= gamma**2
+
+
+def _times(f, g):
+    """Product of two exponential sums held as lists of (tau power, rate, amplitude)."""
+    return [(m1 + m2, s1 + s2, c1 * c2) for m1, s1, c1 in f for m2, s2, c2 in g]
+
+
+def _first_order_pole_reference(mp, tun, coeffs, omega1, omega, weight, gamma):
+    """``first_order_pole``'s formula at 50 digits on the same inputs.
+
+    The kernel is expanded from its product form
+    d0c^2*(1 - S1) + d1c^2*cos(w1 t)*(1 - S1) - d1s^2*sin(w1 t)*R1.
+    """
+    with mp.workdps(50):
+        d0, d1c, d1s = (mp.mpf(x) ** 2 for x in (tun.delta0c, tun.delta1c, tun.delta1s))
+        a, b, c, v, w = (mp.mpf(x) for x in (coeffs.A, coeffs.B, coeffs.C, coeffs.V, omega1))
+        iw, half, halfj = mp.mpc(0, w), mp.mpf(0.5), mp.mpc(0, 0.5)
+        cos = [(0, iw, half), (0, -iw, half)]
+        sin = [(0, iw, -halfj), (0, -iw, halfj)]
+        # 1 - S1 and R1 as correlation.wda_split writes them
+        one_minus_s1 = [(0, 0, 1), (1, iw, -a / 2), (1, -iw, -a / 2), (1, 0, -b),
+                        (0, iw, c * halfj), (0, -iw, -c * halfj)]
+        r1 = [(0, 0, v), (0, iw, -v / 2), (0, -iw, -v / 2), (1, iw, v * w * halfj / 2), (1, -iw, -v * w * halfj / 2)]
+        undamped = [(0, 0, d0), *((m, s, d1c * x) for m, s, x in cos)]
+        kernel = [(m, s, d0 * x) for m, s, x in one_minus_s1]
+        kernel += [(m, s, d1c * x) for m, s, x in _times(cos, one_minus_s1)]
+        kernel += [(m, s, -d1s * x) for m, s, x in _times(sin, r1)]
+        lam = mp.mpc(0, omega)
+
+        def transform(terms, order):  # d^order/dlam^order of the Laplace transform
+            return sum(x * (-1) ** order * mp.factorial(m + order) / (lam - s) ** (m + order + 1)
+                       for m, s, x in terms)
+
+        r0 = mp.mpf(weight) / 2
+        shift = transform(kernel, 0).real
+        sine = 2 * r0**2 * (transform(kernel, 1).imag - r0 * shift * transform(undamped, 2).imag)
+        return float(r0 * shift / gamma), float(sine)
+
+
+def test_first_order_pole_matches_a_50_digit_reference(fig3_params, fig5_params):
+    # at fig5 omega_minus lies 4.6e-5 from Omega1, where the transform
+    # lam/(lam^2 + w^2) of a kernel harmonic loses digits to cancellation
+    mp = pytest.importorskip("mpmath")
+    for p in (fig3_params, fig5_params):
+        coeffs, scales, tun = _tunneling(p)
+        spectrum = build_wda_spectrum(p)
+        for omega, weight in ((spectrum.omega_plus, spectrum.weight_plus),
+                              (spectrum.omega_minus, spectrum.weight_minus)):
+            kappa, sine = first_order_pole(tun, coeffs, scales.Omega1, omega, weight, p.gamma)
+            ref_kappa, ref_sine = _first_order_pole_reference(mp, tun, coeffs, scales.Omega1, omega, weight, p.gamma)
+            assert abs(kappa - ref_kappa) <= 1e-14 * abs(ref_kappa)
+            assert abs(sine - ref_sine) <= 1e-12 * abs(ref_sine)
 
 
 def test_weights_sum_to_one_exactly(fig3_params, fig5_params):
@@ -289,6 +359,10 @@ def test_truncation_ratio_second_harmonic_small(fig3_params):
     coeffs, scales, tun = _tunneling(fig3_params)
     ratio = truncation_ratio_n2(tun, coeffs, fig3_params.beta, scales.Omega1)
     assert 0.0 < ratio < 0.1
+    # a cold bath, beta*Omega1 = 1060: 1/sinh^2 underflows instead of sinh^2 overflowing
+    cold = dataclasses.replace(fig3_params, beta=1000.0)
+    coeffs, scales, tun = _tunneling(cold)
+    assert 0.0 < truncation_ratio_n2(tun, coeffs, cold.beta, scales.Omega1) < 0.1
 
 
 def test_i0_is_bit_equal_to_scipy(fig3_params, fig5_params):
