@@ -180,11 +180,13 @@ def correlation_quadrature(
     ``geff_fn`` must be Ohmic-like (G(w)/w^2 finite*1/w as w -> 0).  The
     oscillatory factors are handled with Clenshaw-Curtis weighted
     quadrature; the integration range is split at the spectral peak (when
-    given) and at w = 2*pi/tau.  Raises QuadratureNonConvergence with the
-    achieved error estimate when the combined estimate exceeds ``atol``.
+    given) and at w = 2*pi/tau.  ``tau`` must be finite and >= 0; anything
+    else raises ValueError before any integral runs.  Raises
+    QuadratureNonConvergence with the achieved error estimate when the
+    combined estimate exceeds ``atol``.
     """
-    if tau < 0.0:
-        raise ValueError("tau must be >= 0")
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
     if tau == 0.0:
         return 0.0, 0.0
 
@@ -256,9 +258,13 @@ def closed_form_correlation(p: SystemParams, scales: DerivedScales) -> Correlati
 def quadrature_correlation(p: SystemParams, scales: DerivedScales, atol: float = 1e-8) -> CorrelationFn:
     """Quadrature evaluator of the correlation integrals for these params.
 
-    Each tau is integrated once; S and R come out of the same call.
+    Each tau is integrated once; S and R come out of the same call, in the
+    shape of tau.
     """
-    geff_fn = partial(geff, p=p, scales=scales)
+    # geff is looked up per call, so perfbench's tracer counts every node
+    def geff_fn(w):
+        return geff(w, p, scales)
+
     width = scales.gammabar if scales.gammabar > 0.0 else 0.05 * scales.Omega1
     one = partial(
         correlation_quadrature,
@@ -273,8 +279,8 @@ def quadrature_correlation(p: SystemParams, scales: DerivedScales, atol: float =
         arr = np.asarray(tau, dtype=float)
         if arr.ndim == 0:
             return one(float(arr))
-        values = np.array([one(float(t)) for t in arr], dtype=float).reshape(-1, 2)
-        return values[:, 0], values[:, 1]
+        values = np.array([one(float(t)) for t in arr.ravel()], dtype=float).reshape(-1, 2)
+        return values[:, 0].reshape(arr.shape), values[:, 1].reshape(arr.shape)
 
     return CorrelationFn(kind="quadrature", pair=pair)
 

@@ -86,11 +86,18 @@ def geff(omega, p: SystemParams, scales: DerivedScales):
         / (gammabar**2 + (|omega|-Omega1)**2).
     Equals q0**2*J_eff/(pi*hbar) up to the first-order-in-alpha reduction
     Omega1*n1**2 ~ Omega; independent of q0.
+
+    A Python float is computed in floats and returns a float: the
+    quadrature oracle calls G once per node, where numpy's per-call cost
+    would dominate.  Anything else is computed as a numpy array.  Both run
+    the same operations in the same order, except that a float squares by
+    pow() and an array by a product, which can differ in the last bit.
     """
-    w = np.asarray(omega, dtype=float)
+    w = omega if isinstance(omega, float) else np.asarray(omega, dtype=float)
+    magnitude = abs(w)
     om1 = scales.Omega1
-    weight = 2.0 * om1 / (np.abs(w) + om1)
-    den = scales.gammabar**2 + (np.abs(w) - om1) ** 2
+    weight = 2.0 * om1 / (magnitude + om1)
+    den = scales.gammabar**2 + (magnitude - om1) ** 2
     return 2.0 * scales.varsigma * p.Omega**2 * w * weight / den
 
 

@@ -137,8 +137,7 @@ def test_criterion_04_correlation_oracle(fig3):
     start = time.perf_counter()
     tau = np.linspace(0.0, 30.0, 121)
     quad = quadrature_correlation(fig3, s)
-    s_q = np.asarray(quad.S(tau))
-    r_q = np.asarray(quad.R(tau))
+    s_q, r_q = quad.pair(tau)
     elapsed = time.perf_counter() - start
     closed = closed_form_correlation(fig3, s)
     s_c = np.asarray(closed.S(tau))

@@ -84,6 +84,15 @@ def test_quadrature_at_zero():
     assert correlation_quadrature(0.0, lambda w: w, 10.0) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0])
+def test_quadrature_rejects_a_bad_tau_before_integrating(tau):
+    def never(w):
+        raise AssertionError("integrand called")
+
+    with pytest.raises(ValueError, match="finite"):
+        correlation_quadrature(tau, never, 10.0)
+
+
 def test_quadrature_ohmic_cutoff_oracle():
     # exponential-cutoff Ohmic weight: R has an elementary closed form and S
     # an independent series representation; R saturates, S keeps growing
@@ -111,10 +120,43 @@ def test_quadrature_vs_closed_form_single_point(fig3_params, fig3_scales):
     tau = 2.0 * math.pi
     quad = quadrature_correlation(fig3_params, fig3_scales)
     closed = closed_form_correlation(fig3_params, fig3_scales)
-    s_q, r_q = float(quad.S(tau)), float(quad.R(tau))
+    s_q, r_q = quad.pair(tau)
     bound = 0.02 * max(abs(s_q), abs(r_q)) + matsubara_envelope(fig3_params, fig3_scales)
     assert abs(float(closed.S(tau)) - s_q) <= bound
     assert abs(float(closed.R(tau)) - r_q) <= bound
+
+
+@pytest.mark.parametrize("tau", [1.0, 2.0 * math.pi, 12.0])
+def test_quadrature_float_integrand_matches_array_path(fig3_params, fig3_scales, tau):
+    # the evaluator's per-node G runs in floats; an integrand through geff's
+    # numpy path must give the same S and R bit for bit.  At tau = 12 the
+    # first knot is 2*pi/tau, below the peak window, so a0 moves.
+    p, s = fig3_params, fig3_scales
+    if tau == 12.0:
+        assert tau > 2.0 * math.pi / (s.Omega1 - 5.0 * s.gammabar)
+    from effbath.spectral import geff
+
+    def array_path(w):
+        return geff(np.array([w]), p, s)[0]
+
+    expected = correlation_quadrature(tau, array_path, p.beta, peak=s.Omega1, peak_width=s.gammabar)
+    assert quadrature_correlation(p, s).pair(tau) == expected
+
+
+def test_every_evaluator_returns_the_shape_of_tau(fig3_params, fig3_scales):
+    from effbath.correlation import wda_correlation
+
+    grid = np.array([[0.0, 0.5], [1.5, 3.0]])
+    for fn in (quadrature_correlation(fig3_params, fig3_scales),
+               closed_form_correlation(fig3_params, fig3_scales),
+               wda_correlation(fig3_params, fig3_scales)):
+        s_flat, r_flat = fn.pair(grid.ravel())
+        s_val, r_val = fn.pair(grid)
+        assert np.shape(s_val) == np.shape(r_val) == grid.shape, fn.kind
+        np.testing.assert_array_equal(s_val, s_flat.reshape(grid.shape))
+        np.testing.assert_array_equal(r_val, r_flat.reshape(grid.shape))
+        s_val, r_val = fn.pair(np.array([]))
+        assert np.shape(s_val) == np.shape(r_val) == (0,), fn.kind
 
 
 def test_quadrature_integrates_each_tau_once(fig3_params, fig3_scales, monkeypatch, tmp_path):

@@ -174,6 +174,18 @@ def test_geff_values(fig3_params, fig3_scales):
     assert geff(0.0, p, s) == 0.0
 
 
+def test_geff_float_path_matches_array_path(fig3_params, fig3_scales):
+    # a float is computed in floats, an array in numpy; at these points both
+    # give the same bits
+    p, s = fig3_params, fig3_scales
+    ws = [0.0, s.Omega1, -s.Omega1, -0.3, 900.0]
+    as_array = geff(np.array(ws), p, s)
+    for w, expected in zip(ws, as_array):
+        value = geff(w, p, s)
+        assert type(value) is float
+        assert value == expected
+
+
 def test_geff_matches_scaled_density(fig3_params, fig3_scales):
     # q0^2*J_eff/pi reduces to the correlation weight up to the first-order
     # frequency reduction; measured 1.2% on the figure sets, frozen at 2%
