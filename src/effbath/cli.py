@@ -2,7 +2,9 @@
 
 Subcommands: spectral | correlation | niba | wda | spectrum | figure | custom.
 Analysis subcommands fall back to the strong-coupling figure parameter set
-when no config file is given.  Exit codes: 0 success, 2 regime-flag
+when no config file is given.  Every subcommand computes its whole bundle
+of files first; only then is the output directory created and written, so
+a failed run leaves nothing behind.  Exit codes: 0 success, 2 regime-flag
 violation under --strict, 1 any other failure.
 """
 
@@ -17,33 +19,30 @@ import numpy as np
 
 from .errors import EffbathError, NegativeRateError, NonFiniteStateError, NonUniformGridError, TooShortError
 from .gme import TimeSeries, simulate_population, time_grid
-from .params import build_params, load_config
+from .params import SystemParams, build_params, load_config, regime_flags
 from .scenarios import (
     FIGURE_PARAMS,
     SPECTRUM_BAND,
-    StrictRegimeError,
-    check_strict,
+    correlation_table,
     peak_entries,
     run_scenario,
+    spectral_table,
     wda_entries,
-    write_correlation_csv,
     write_csv,
-    write_spectral_csv,
     write_summary,
 )
 from .spectrum import fourier_spectrum
 from .wda import build_wda_spectrum, wda_population
 
 
+class StrictRegimeError(EffbathError):
+    """Raised when --strict is set and a regime flag is violated."""
+
+
 def _add_common(sub):
     sub.add_argument("--config", type=Path, default=None, help="flat key=value parameter file")
     sub.add_argument("--out", type=Path, default=Path("effbath_out"), help="output directory")
     sub.add_argument("--strict", action="store_true", help="fail on regime-flag violations")
-
-
-def _params_from(args):
-    raw = load_config(args.config) if args.config else dict(FIGURE_PARAMS["fig3"])
-    return build_params(raw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,45 +93,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_spectral(args) -> int:
-    params = _params_from(args)
-    check_strict(params, args.strict)
-    args.out.mkdir(parents=True, exist_ok=True)
-    write_spectral_csv(args.out / "spectral.csv", params, omega_max=args.omega_max, points=args.points)
-    return 0
-
-
-def _run_correlation(args) -> int:
-    params = _params_from(args)
-    check_strict(params, args.strict)
-    args.out.mkdir(parents=True, exist_ok=True)
-    write_correlation_csv(args.out / "correlation.csv", params, tau_max=args.tau_max, points=args.points)
-    return 0
-
-
-def _run_niba(args) -> int:
-    params = _params_from(args)
-    if args.alpha_zero:
+def _params(args) -> SystemParams:
+    """The run's params: the figure tag's set, --config, or the fig3 set; then --alpha-zero and --strict."""
+    if args.command == "figure":
+        raw = FIGURE_PARAMS[args.tag]
+    else:
+        raw = load_config(args.config) if args.config else FIGURE_PARAMS["fig3"]
+    params = build_params(raw)
+    if getattr(args, "alpha_zero", False):
         params = params.with_alpha(0.0)
-    check_strict(params, args.strict)
-    args.out.mkdir(parents=True, exist_ok=True)
-    series = simulate_population(
-        params, step=args.step, horizon=args.horizon, correlation=args.correlation
-    )
-    write_csv(args.out / "P_niba.csv", ["t", "P"], [series.times, series.values])
-    return 0
+    flags = regime_flags(params) if args.strict else []
+    if flags:
+        raise StrictRegimeError("; ".join(flags))
+    return params
 
 
-def _run_wda(args) -> int:
-    params = _params_from(args)
-    check_strict(params, args.strict)
-    args.out.mkdir(parents=True, exist_ok=True)
+def _spectral(args, params) -> dict:
+    return {"spectral.csv": spectral_table(params, omega_max=args.omega_max, points=args.points)}
+
+
+def _correlation(args, params) -> dict:
+    return {"correlation.csv": correlation_table(params, tau_max=args.tau_max, points=args.points)}
+
+
+def _niba(args, params) -> dict:
+    series = simulate_population(params, step=args.step, horizon=args.horizon, correlation=args.correlation)
+    return {"P_niba.csv": (["t", "P"], [series.times, series.values])}
+
+
+def _wda(args, params) -> dict:
     step, n_steps = time_grid(params, step=args.step, horizon=args.horizon)
     spectrum = build_wda_spectrum(params)
     t = step * np.arange(n_steps + 1)
-    write_csv(args.out / "P_wda.csv", ["t", "P"], [t, wda_population(t, spectrum)])
-    write_summary(args.out / "wda_report.txt", wda_entries(spectrum, params))
-    return 0
+    return {"P_wda.csv": (["t", "P"], [t, wda_population(t, spectrum)]),
+            "wda_report.txt": wda_entries(spectrum, params)}
 
 
 def _read_trace(path: Path):
@@ -150,7 +144,7 @@ def _read_trace(path: Path):
     return data[:, 0], data[:, 1]
 
 
-def _run_spectrum(args) -> int:
+def _spectrum(args) -> dict:
     if args.peaks < 0:
         raise NegativeRateError(f"--peaks must be 0 or more, got {args.peaks}")
     t, values = _read_trace(args.input)
@@ -167,40 +161,50 @@ def _run_spectrum(args) -> int:
     result = fourier_spectrum(
         TimeSeries(h=h, values=values), window=args.window, zero_pad_factor=args.pad, omega_max=args.omega_max
     )
-    peaks = peak_entries(result, args.peaks) if args.peaks > 0 else None
-    args.out.mkdir(parents=True, exist_ok=True)
-    write_csv(args.out / "spectrum.csv", ["omega", "magnitude"], [result.omega, result.magnitude])
-    if peaks is not None:
-        write_summary(args.out / "peaks.txt", peaks)
-    return 0
+    bundle = {"spectrum.csv": (["omega", "magnitude"], [result.omega, result.magnitude])}
+    if args.peaks > 0:
+        bundle["peaks.txt"] = peak_entries(result, args.peaks)
+    return bundle
 
 
-def _run_figure(args) -> int:
-    outdir = args.out if args.out is not None else Path(args.tag)
-    run_scenario(args.tag, build_params(FIGURE_PARAMS[args.tag]), outdir, args.strict)
-    return 0
-
-
-def _run_custom(args) -> int:
-    run_scenario("custom", build_params(load_config(args.config)), args.out, args.strict)
-    return 0
+def _scenario(args, params) -> dict:
+    return run_scenario(args.tag if args.command == "figure" else "custom", params)
 
 
 _RUNNERS = {
-    "spectral": _run_spectral,
-    "correlation": _run_correlation,
-    "niba": _run_niba,
-    "wda": _run_wda,
-    "spectrum": _run_spectrum,
-    "figure": _run_figure,
-    "custom": _run_custom,
+    "spectral": _spectral,
+    "correlation": _correlation,
+    "niba": _niba,
+    "wda": _wda,
+    "figure": _scenario,
+    "custom": _scenario,
 }
+
+
+def _write_bundle(bundle: dict, out: Path) -> None:
+    """Create ``out`` and write each file of ``bundle`` into it.
+
+    The one place that writes: a name ending in ``.txt`` maps to the
+    entries of a key=value summary, any other name to the ``(header,
+    columns)`` of a CSV.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in bundle.items():
+        if name.endswith(".txt"):
+            write_summary(out / name, content)
+        else:
+            write_csv(out / name, *content)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _RUNNERS[args.command](args)
+        if args.command == "spectrum":
+            bundle = _spectrum(args)
+        else:
+            bundle = _RUNNERS[args.command](args, _params(args))
+        _write_bundle(bundle, args.out if args.out is not None else Path(args.tag))
+        return 0
     except StrictRegimeError as exc:
         print(f"effbath: regime violation under --strict: {exc}", file=sys.stderr)
         return 2

@@ -46,7 +46,7 @@ class SystemParams:
     beta : inverse temperature
     Delta : qubit tunneling amplitude
     epsilon : qubit bias
-    q0 : double-well minima separation; defaults to y0 when not given
+    q0 : double-well minima separation, positive; defaults to y0 when not given
     """
 
     Omega: float
@@ -141,8 +141,8 @@ def build_params(raw: Mapping[str, float]) -> SystemParams:
     if "q0" in raw and raw["q0"] is not None:
         values["q0"] = float(raw["q0"])
 
-    for key in ("Omega", "M", "mu", "beta"):
-        if not values[key] > 0.0:
+    for key in ("Omega", "M", "mu", "beta", "q0"):
+        if key in values and not values[key] > 0.0:
             raise NonPositiveError(f"{key} must be > 0, got {values[key]}")
     for key in ("gamma", "alpha", "Delta"):
         if values[key] < 0.0:

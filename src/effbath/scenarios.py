@@ -1,9 +1,11 @@
-"""Figure-level scenario runner: parameter sets, CSV artifacts, summaries.
+"""Figure-level scenarios: parameter sets, and the tables and summaries of each bundle.
 
 Every figure tag binds the exact caption parameter set; ``custom`` runs
-the same pipeline on user-supplied parameters.  All outputs are plain
-CSV/key=value text written with full double precision so repeated runs
-are byte-identical.
+the same pipeline on user-supplied parameters.  This module computes
+bundles and writes nothing itself: ``write_csv`` and ``write_summary``
+format a table or a summary as plain CSV/key=value text with full double
+precision, so repeated runs are byte-identical, and the CLI calls them
+once a whole bundle exists.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .correlation import closed_form_correlation, quadrature_correlation, wda_coefficients, wda_split
-from .errors import EffbathError, NonPositiveError
+from .errors import NonPositiveError
 from .gme import TimeSeries, fastest_frequency, simulate_population
 from .params import SystemParams, convert_couplings, derived_scales, regime_flags
 from .spectral import (
@@ -27,7 +29,7 @@ from .spectral import (
 from .spectrum import SpectrumResult, fourier_spectrum, peak_extract
 from .wda import bloch_siegert_shift, build_wda_spectrum, expansion_branch, wda_population
 
-__all__ = ["FIGURE_PARAMS", "SPECTRUM_BAND", "StrictRegimeError", "run_scenario"]
+__all__ = ["FIGURE_PARAMS", "SPECTRUM_BAND", "run_scenario"]
 
 _FIG3 = {
     "Omega": 1.0,
@@ -65,19 +67,15 @@ FIGURE_PARAMS = {
 }
 
 
-class StrictRegimeError(EffbathError):
-    """Raised when --strict is set and a regime flag is violated."""
-
-
 # every spectrum is zero padded 8x and summarized by its two tallest peaks
 _PAD_FACTOR = 8
 _N_PEAKS = 2
 # spectra end at omega <= SPECTRUM_BAND*Omega, or at twice the fastest line if that lies higher
 SPECTRUM_BAND = 3.0
 
-# what each population tag writes: (P traces, spectra)
-_WRITES = {"fig3": (True, False), "fig5": (True, False), "fig7": (True, False),
-           "fig4": (False, True), "fig6": (False, True), "fig8": (False, True), "custom": (True, True)}
+# what the bundle of each population tag holds: (P traces, spectra)
+_CONTENTS = {"fig3": (True, False), "fig5": (True, False), "fig7": (True, False),
+             "fig4": (False, True), "fig6": (False, True), "fig8": (False, True), "custom": (True, True)}
 
 
 def _fmt(value) -> str:
@@ -135,14 +133,6 @@ def _base_summary(tag: str, p: SystemParams) -> dict:
     return entries
 
 
-def check_strict(p: SystemParams, strict: bool) -> None:
-    """Raise StrictRegimeError if ``strict`` is set and a regime flag is violated."""
-    if strict:
-        flags = regime_flags(p)
-        if flags:
-            raise StrictRegimeError("; ".join(flags))
-
-
 def _spectral_columns(p: SystemParams, omega: np.ndarray):
     scales = derived_scales(p)
     gbar, _ = convert_couplings(p)
@@ -166,24 +156,30 @@ def _check_grid(name: str, end: float, points: int) -> None:
 SPECTRAL_HEADER = ["omega", "J_ohmic", "J_linear_eff", "J_nonlinear_eff", "chi_imag", "G_eff"]
 
 
-def write_spectral_csv(path: Path, p: SystemParams, omega_max: float = 3.0, points: int = 1500) -> None:
+def spectral_table(p: SystemParams, omega_max: float = 3.0, points: int = 1500) -> tuple[list, list]:
+    """Header and columns of the spectral densities on ``points`` frequencies up to omega_max*Omega."""
     _check_grid("omega_max", omega_max, points)
     omega = np.linspace(omega_max / points, omega_max, points) * p.Omega
-    write_csv(path, SPECTRAL_HEADER, _spectral_columns(p, omega))
+    return SPECTRAL_HEADER, _spectral_columns(p, omega)
 
 
-def write_correlation_csv(path: Path, p: SystemParams, tau_max: float = 30.0, points: int = 121) -> None:
+def correlation_table(p: SystemParams, tau_max: float = 30.0, points: int = 121) -> tuple[list, list]:
+    """Header and columns of S and R on ``points`` lags up to tau_max/Omega: quadrature, closed form, split."""
     _check_grid("tau_max", tau_max, points)
     scales = derived_scales(p)
     tau = np.linspace(0.0, tau_max / p.Omega, points)
     s_quad, r_quad = quadrature_correlation(p, scales).pair(tau)
     s_closed, r_closed = closed_form_correlation(p, scales).pair(tau)
     s0, s1, r0, r1 = wda_split(tau, wda_coefficients(p, scales), scales)
-    write_csv(
-        path,
+    return (
         ["tau", "S_quad", "R_quad", "S_closed", "R_closed", "S0", "S1", "R0", "R1"],
         [tau, s_quad, r_quad, s_closed, r_closed, s0, s1, r0, r1],
     )
+
+
+# the benchmark's oracle workload times the correlation table and its CSV as one call
+def write_correlation_csv(path: Path, p: SystemParams, tau_max: float = 30.0, points: int = 121) -> None:
+    write_csv(path, *correlation_table(p, tau_max=tau_max, points=points))
 
 
 def _population_pair(params: SystemParams):
@@ -223,29 +219,31 @@ def wda_entries(spectrum, p: SystemParams) -> dict:
     }
 
 
-def run_scenario(tag: str, params: SystemParams, outdir, strict: bool = False) -> None:
-    """Write the artifact bundle of a figure tag, or of "custom", run on ``params``.
+def run_scenario(tag: str, params: SystemParams) -> dict:
+    """The artifact bundle of a figure tag, or of "custom", run on ``params``.
 
-    fig2 writes the spectral densities and their peak.  Every other tag
+    The bundle maps each file name to its content: a ``.csv`` name to
+    ``(header, columns)`` for ``write_csv``, and ``summary.txt`` to the
+    entries for ``write_summary``.  Nothing is written here.
+
+    fig2 holds the spectral densities and their peak.  Every other tag
     runs one loop over its variants: the params alone, or for the fig7/fig8
     twins the params and their alpha = 0 twin, whose files take a
     ``_{label}`` suffix and whose summary keys a ``{label}_`` prefix.
-    ``_WRITES`` says whether a tag writes P traces, spectra or both; only
-    a run without twins writes the WDA spectrum.  Every spectrum, written
-    or only picked for its peak keys, ends at omega <= 3*Omega, or at
+    ``_CONTENTS`` says whether a tag holds P traces, spectra or both; only
+    a run without twins holds the WDA spectrum.  Every spectrum, kept or
+    only picked for its peak keys, ends at omega <= 3*Omega, or at
     twice the fastest of Omega1, Delta and |epsilon| if that lies higher;
     for the figure sets that is 3*Omega.  An unknown tag raises
-    ValueError before anything is checked or written.
+    ValueError before anything is computed.
     """
-    if tag != "fig2" and tag not in _WRITES:
-        raise ValueError(f"unknown scenario tag {tag!r}; expected one of {sorted([*_WRITES, 'fig2'])}")
-    check_strict(params, strict)
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    if tag != "fig2" and tag not in _CONTENTS:
+        raise ValueError(f"unknown scenario tag {tag!r}; expected one of {sorted([*_CONTENTS, 'fig2'])}")
+    bundle = {}
     summary = _base_summary(tag, params)
 
     if tag == "fig2":
-        write_spectral_csv(outdir / "spectral.csv", params)
+        bundle["spectral.csv"] = spectral_table(params)
         scales = derived_scales(params)
         loc, height = density_peak(
             lambda w: nonlinear_effective_density(w, params, scales), Omega=params.Omega
@@ -253,7 +251,7 @@ def run_scenario(tag: str, params: SystemParams, outdir, strict: bool = False) -
         summary["jeff_peak_omega"] = loc
         summary["jeff_peak_height"] = height
     else:
-        traces, spectra = _WRITES[tag]
+        traces, spectra = _CONTENTS[tag]
         twins = tag in ("fig7", "fig8")
         variants = (("nonlinear", params), ("linear", params.with_alpha(0.0))) if twins else (("", params),)
         for label, prm in variants:
@@ -261,7 +259,7 @@ def run_scenario(tag: str, params: SystemParams, outdir, strict: bool = False) -
             series, analytic, spectrum = _population_pair(prm)
             if traces:
                 for kind, trace in (("niba", series), ("wda", analytic)):
-                    write_csv(outdir / f"P_{kind}{suffix}.csv", ["t", "P"], [trace.times, trace.values])
+                    bundle[f"P_{kind}{suffix}.csv"] = (["t", "P"], [trace.times, trace.values])
             band = max(SPECTRUM_BAND * prm.Omega, 2.0 * fastest_frequency(prm, derived_scales(prm)))
             result = fourier_spectrum(series, zero_pad_factor=_PAD_FACTOR, omega_max=band)
             if spectra:
@@ -269,12 +267,12 @@ def run_scenario(tag: str, params: SystemParams, outdir, strict: bool = False) -
                 if not twins:
                     kinds.append(("wda", fourier_spectrum(analytic, zero_pad_factor=_PAD_FACTOR, omega_max=band)))
                 for kind, spec in kinds:
-                    path = outdir / f"spectrum_{kind}{suffix}.csv"
-                    write_csv(path, ["omega", "magnitude"], [spec.omega, spec.magnitude])
+                    bundle[f"spectrum_{kind}{suffix}.csv"] = (["omega", "magnitude"], [spec.omega, spec.magnitude])
             summary.update({prefix + key: value for key, value in wda_entries(spectrum, prm).items()})
             # a run without twins names its peak keys after the trace they come from
             summary.update(peak_entries(result, _N_PEAKS, prefix or "niba_"))
         if tag == "custom":
-            write_spectral_csv(outdir / "spectral.csv", params)
+            bundle["spectral.csv"] = spectral_table(params)
 
-    write_summary(outdir / "summary.txt", summary)
+    bundle["summary.txt"] = summary
+    return bundle

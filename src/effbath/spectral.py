@@ -19,7 +19,6 @@ __all__ = [
     "susceptibility_imag",
     "nonlinear_effective_density",
     "geff",
-    "effective_damping",
     "density_peak",
 ]
 
@@ -99,18 +98,6 @@ def geff(omega, p: SystemParams, scales: DerivedScales):
     weight = 2.0 * om1 / (magnitude + om1)
     den = scales.gammabar**2 + (magnitude - om1) ** 2
     return 2.0 * scales.varsigma * p.Omega**2 * w * weight / den
-
-
-def effective_damping(omega, density, mu):
-    """Frequency-resolved damping density(omega)/(mu*omega).
-
-    ``density`` is a callable J(omega).  Raises ZeroDivisionError at
-    omega = 0; the caller must use the low-frequency slope there.
-    """
-    w = np.asarray(omega, dtype=float)
-    if np.any(w == 0.0):
-        raise ZeroDivisionError("effective damping undefined at omega = 0; use the slope limit")
-    return np.asarray(density(w), dtype=float) / (mu * w)
 
 
 # golden-section fraction (3 - sqrt(5))/2, and the relative bracket width

@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 import warnings
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import effbath
+from effbath import scenarios
 from effbath.cli import main
 from effbath.params import build_params
 from effbath.scenarios import FIGURE_PARAMS, run_scenario, write_csv
@@ -235,7 +237,7 @@ def test_a_bad_grid_is_a_usage_error(tmp_path, tmp_path_factory, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("effbath: error: ")
     assert argv[0] != "spectrum" or "omega_max" in err
-    assert not list(tmp_path.rglob("*.csv"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_figure_tag_usage_error():
@@ -243,10 +245,72 @@ def test_unknown_figure_tag_usage_error():
         main(["figure", "fig99"])
 
 
-def test_run_scenario_rejects_an_unknown_tag_before_writing(tmp_path):
+def test_run_scenario_rejects_an_unknown_tag_before_writing(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="fig9"):
-        run_scenario("fig9", build_params(FIGURE_PARAMS["fig3"]), tmp_path / "out")
+        run_scenario("fig9", build_params(FIGURE_PARAMS["fig3"]))
+    # a known tag returns its bundle and writes nothing, not even into the working directory
+    monkeypatch.chdir(tmp_path)
+    bundle = run_scenario("fig2", build_params(FIGURE_PARAMS["fig2"]))
+    assert list(bundle) == ["spectral.csv", "summary.txt"] and not list(tmp_path.iterdir())
+
+
+def test_a_run_that_fails_late_writes_nothing(tmp_path, monkeypatch, capsys):
+    # the spectral table is the last piece of a custom bundle; the traces and spectra before it exist by then
+    def fail(p, omega):
+        raise ValueError("spectral densities failed")
+
+    monkeypatch.setattr(scenarios, "_spectral_columns", fail)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("Omega=1\nalpha=0.01\ng=0.1\ngamma=0.08\nbeta=10\nDelta=1\nepsilon=0\n")
+    assert main(["custom", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "spectral densities failed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_zero_q0_fails_before_the_bundle(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("Omega=1\nalpha=0.01\ng=0.1\ngamma=0.08\nbeta=10\nDelta=1\nepsilon=0\nq0=0\n")
+    assert main(["custom", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("effbath: error: q0 must be > 0")
+    assert not (tmp_path / "out").exists()
+
+
+def _calls(tree):
+    """Each call in a module, with the name of the function around it."""
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                yield child, where
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            yield from walk(child, inner)
+    return walk(tree, "<module>")
+
+
+def _writes_a_file(call):
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        return False
+    # a mode not spelt out is counted as a write
+    return not isinstance(mode, ast.Constant) or any(c in mode.value for c in "wax+")
+
+
+def test_one_writer():
+    # the CLI writer creates the output directory; write_csv and write_summary open the files it writes
+    found = []
+    for path in sorted((SRC / "effbath").glob("*.py")):
+        for call, where in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+            mkdir = isinstance(call.func, ast.Attribute) and call.func.attr == "mkdir"
+            if mkdir and (path.name, where) != ("cli.py", "_write_bundle"):
+                found.append(f"{path.name}:{call.lineno} mkdir in {where}")
+            if _writes_a_file(call) and where not in ("write_csv", "write_summary"):
+                found.append(f"{path.name}:{call.lineno} writes a file in {where}")
+    assert found == []
 
 
 @pytest.mark.parametrize("horizon", [None, "0.004"])
@@ -291,7 +355,7 @@ def test_spectrum_rejects_bad_input_before_writing(tmp_path, capsys, trace, argv
     assert main(["spectrum", str(path), "--out", str(tmp_path / "out"), *argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("effbath: error: ") and message in err
-    assert not (tmp_path / "out" / "spectrum.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("header", ["time,P", "t,p", "P"])

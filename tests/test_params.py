@@ -72,6 +72,13 @@ def test_build_params_validation(key, bad, exc):
         build_params(raw)
 
 
+@pytest.mark.parametrize("q0", [0.0, -1.5])
+def test_build_params_rejects_a_non_positive_q0(q0):
+    # q0 is the double-well separation: a length, so neither zero nor negative
+    with pytest.raises(NonPositiveError, match="q0"):
+        build_params(dict(FIG3, q0=q0))
+
+
 @pytest.mark.filterwarnings("ignore::effbath.errors.RegimeWarning")
 def test_direct_gamma_wins_on_conflict():
     raw = dict(FIG3, gamma=0.5)
@@ -168,7 +175,8 @@ def test_convert_couplings_round_trip_random(rng):
 
 
 def test_convert_couplings_zero_length():
-    p = build_params(dict(FIG3, q0=0.0))
+    # build_params rejects q0 = 0, so only params built around it reach here
+    p = dataclasses.replace(build_params(FIG3), q0=0.0)
     with pytest.raises(ZeroLengthError):
         convert_couplings(p)
 

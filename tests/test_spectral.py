@@ -6,7 +6,6 @@ import pytest
 from effbath.params import build_params, convert_couplings, derived_scales
 from effbath.spectral import (
     density_peak,
-    effective_damping,
     geff,
     linear_effective_density,
     nonlinear_effective_density,
@@ -19,6 +18,9 @@ def test_ohmic_density_values():
     assert ohmic_density(1.0, 0.0968) == pytest.approx(0.0968)
     assert ohmic_density(0.0, 3.7) == 0.0
     assert ohmic_density(-1.0, 1.0) == -1.0
+    # J/omega is the damping eta at every frequency
+    w = np.linspace(0.1, 3.0, 50)
+    np.testing.assert_allclose(ohmic_density(w, 0.3) / w, 0.3, rtol=1e-14)
 
 
 def test_linear_effective_density_shape():
@@ -194,18 +196,3 @@ def test_geff_matches_scaled_density(fig3_params, fig3_scales):
     q0 = s.y0
     reduced = q0**2 * nonlinear_effective_density(w, p, s) / math.pi
     np.testing.assert_allclose(geff(w, p, s), reduced, rtol=0.02)
-
-
-def test_effective_damping():
-    eta, mu = 0.3, 2.0
-    w = np.linspace(0.1, 3.0, 50)
-    gd = effective_damping(w, lambda x: ohmic_density(x, eta), mu)
-    np.testing.assert_allclose(gd, eta / mu, rtol=1e-14)
-
-    gbar, gamma, Omega, M = 0.4, 0.097, 1.0, 1.0
-    low = effective_damping(1e-7, lambda x: linear_effective_density(x, gbar, gamma, Omega, M), mu)
-    assert low == pytest.approx(gbar**2 * gamma / (mu * M * Omega**4), rel=1e-9)
-
-    assert np.all(gd > 0.0)
-    with pytest.raises(ZeroDivisionError):
-        effective_damping(0.0, lambda x: ohmic_density(x, eta), mu)
