@@ -1,8 +1,11 @@
 """Bath correlation function Q(tau) = S(tau) + i*R(tau), three ways.
 
-* adaptive quadrature of the defining frequency integral (oracle),
-* closed form for the Lorentzian-peaked effective bath,
-* weak-damping split into zeroth- and first-order-in-gamma pieces.
+* ``quadrature_correlation``: adaptive quadrature of the defining
+  frequency integral (oracle), one ``correlation_quadrature`` per tau;
+* ``closed_form_correlation``: closed form for the Lorentzian-peaked
+  effective bath, or at zero damping, where it is singular, the split's
+  undamped limit;
+* ``wda_split``: weak-damping split into zeroth- and first-order-in-gamma pieces.
 
 The closed forms neglect Matsubara terms and apply the near-resonance
 pole reduction, so quadrature and closed form agree only within a small,
@@ -13,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -23,29 +25,14 @@ from .params import DerivedScales, SystemParams
 from .spectral import geff
 
 __all__ = [
-    "CorrelationCoefficients",
     "WdaCoefficients",
     "CorrelationFn",
-    "closed_form_coefficients",
-    "correlation_closed_form",
     "wda_coefficients",
     "wda_split",
     "correlation_quadrature",
     "closed_form_correlation",
     "quadrature_correlation",
-    "wda_correlation",
 ]
-
-
-@dataclass(frozen=True)
-class CorrelationCoefficients:
-    """Closed-form amplitudes of S and R for the peaked effective bath."""
-
-    I: float
-    N: float
-    X: float
-    L: float
-    Z: float
 
 
 @dataclass(frozen=True)
@@ -85,45 +72,6 @@ def _coth(x: float) -> float:
     return 1.0 + 2.0 / math.expm1(2.0 * x)
 
 
-def closed_form_coefficients(p: SystemParams, scales: DerivedScales) -> CorrelationCoefficients:
-    """Amplitudes I, N, X, L, Z of the closed-form correlation function.
-
-    Singular at zero damping (N, L, Z carry 1/gammabar); raises
-    ZeroDampingError there - the zero-damping limit lives in the
-    weak-damping split instead.
-    """
-    gb = scales.gammabar
-    if gb == 0.0:
-        raise ZeroDampingError("closed-form coefficients are singular at gamma = 0")
-    om1 = scales.Omega1
-    big = p.beta * om1
-    small = p.beta * gb
-    coef_i = 2.0 * math.pi * scales.varsigma * p.Omega**2 / (om1**2 + gb**2)
-    coef_n = -coef_i * (om1 / gb - gb / om1)
-    coef_x = 2.0 * coef_i / p.beta
-    # hyperbolic ratios evaluated with sech/tanh so large beta cannot overflow
-    sech_big = _sech(big)
-    den = 1.0 - math.cos(small) * sech_big
-    coef_l = -(coef_i / gb) * (om1 * math.tanh(big) - gb * math.sin(small) * sech_big) / den
-    coef_z = -(coef_i / gb) * (gb * math.tanh(big) + om1 * math.sin(small) * sech_big) / den
-    return CorrelationCoefficients(I=coef_i, N=coef_n, X=coef_x, L=coef_l, Z=coef_z)
-
-
-def correlation_closed_form(tau, coeffs: CorrelationCoefficients, scales: DerivedScales):
-    """Closed-form S and R on a tau grid.
-
-    S = X*tau + L*(e^{-gb*tau}*cos(Om1*tau) - 1) + Z*e^{-gb*tau}*sin(Om1*tau)
-    R = I - e^{-gb*tau}*(N*sin(Om1*tau) + I*cos(Om1*tau))
-    """
-    t = np.asarray(tau, dtype=float)
-    envelope = np.exp(-scales.gammabar * t)
-    phase = scales.Omega1 * t
-    cos_p, sin_p = np.cos(phase), np.sin(phase)
-    s_val = coeffs.X * t + coeffs.L * (envelope * cos_p - 1.0) + coeffs.Z * envelope * sin_p
-    r_val = coeffs.I - envelope * (coeffs.N * sin_p + coeffs.I * cos_p)
-    return s_val, r_val
-
-
 def wda_coefficients(p: SystemParams, scales: DerivedScales) -> WdaCoefficients:
     """Weak-damping amplitudes, finite for any gamma >= 0."""
     om1 = scales.Omega1
@@ -152,15 +100,10 @@ def wda_split(tau, coeffs: WdaCoefficients, scales: DerivedScales):
     return s0, s1, r0, r1
 
 
-def _quad_piece(fn, a, b, weight=None, wvar=None, epsabs=1e-10):
+def _quad_piece(fn, a, b, epsabs, **weight):
     from scipy.integrate import quad  # here, so the package imports without scipy
 
-    kwargs = {"epsabs": epsabs, "epsrel": 1e-10, "limit": 400}
-    if weight is not None:
-        kwargs["weight"] = weight
-        kwargs["wvar"] = wvar
-    value, err = quad(fn, a, b, **kwargs)
-    return value, err
+    return quad(fn, a, b, epsabs=epsabs, epsrel=1e-10, limit=400, **weight)
 
 
 def correlation_quadrature(
@@ -242,16 +185,45 @@ def correlation_quadrature(
 
 
 def closed_form_correlation(p: SystemParams, scales: DerivedScales) -> CorrelationFn:
-    """Closed-form evaluator; the weak-damping split at gamma = 0.
+    """Closed-form evaluator; the weak-damping split at zero damping.
 
-    The closed form is singular at zero damping, where the split's
-    first-order coefficients vanish and it is the undamped limit.
+    S = X*tau + L*(e^{-gb*tau}*cos(Om1*tau) - 1) + Z*e^{-gb*tau}*sin(Om1*tau)
+    R = I - e^{-gb*tau}*(N*sin(Om1*tau) + I*cos(Om1*tau))
+    N, L and Z carry 1/gammabar.  At gammabar = 0 the split's first-order
+    coefficients vanish, and S0 + S1, R0 + R1 (kind "wda-split") is the
+    undamped limit.
     """
-    if p.gamma == 0.0:
-        return wda_correlation(p, scales)
+    gb = scales.gammabar
+    om1 = scales.Omega1
+    if gb == 0.0:
+        coeffs = wda_coefficients(p, scales)
 
-    coeffs = closed_form_coefficients(p, scales)
-    pair = partial(correlation_closed_form, coeffs=coeffs, scales=scales)
+        def split_pair(tau):
+            s0, s1, r0, r1 = wda_split(tau, coeffs, scales)
+            return s0 + s1, r0 + r1
+
+        return CorrelationFn(kind="wda-split", pair=split_pair)
+
+    big = p.beta * om1
+    small = p.beta * gb
+    coef_i = 2.0 * math.pi * scales.varsigma * p.Omega**2 / (om1**2 + gb**2)
+    coef_n = -coef_i * (om1 / gb - gb / om1)
+    coef_x = 2.0 * coef_i / p.beta
+    # hyperbolic ratios evaluated with sech/tanh so large beta cannot overflow
+    sech_big = _sech(big)
+    den = 1.0 - math.cos(small) * sech_big
+    coef_l = -(coef_i / gb) * (om1 * math.tanh(big) - gb * math.sin(small) * sech_big) / den
+    coef_z = -(coef_i / gb) * (gb * math.tanh(big) + om1 * math.sin(small) * sech_big) / den
+
+    def pair(tau):
+        t = np.asarray(tau, dtype=float)
+        envelope = np.exp(-gb * t)
+        phase = om1 * t
+        cos_p, sin_p = np.cos(phase), np.sin(phase)
+        s_val = coef_x * t + coef_l * (envelope * cos_p - 1.0) + coef_z * envelope * sin_p
+        r_val = coef_i - envelope * (coef_n * sin_p + coef_i * cos_p)
+        return s_val, r_val
+
     return CorrelationFn(kind="closed-form", pair=pair)
 
 
@@ -259,21 +231,20 @@ def quadrature_correlation(p: SystemParams, scales: DerivedScales, atol: float =
     """Quadrature evaluator of the correlation integrals for these params.
 
     Each tau is integrated once; S and R come out of the same call, in the
-    shape of tau.
+    shape of tau.  gamma = 0, where G(omega) is a line, raises ZeroDampingError.
     """
-    # geff is looked up per call, so perfbench's tracer counts every node
+    if scales.gammabar == 0.0:
+        raise ZeroDampingError(f"gamma = {p.gamma}: undamped, G(omega) is a line at Omega1, which no quadrature"
+                               " resolves; the closed-form evaluator takes gamma = 0")
+
+    # geff and correlation_quadrature are looked up per call, so perfbench's
+    # tracer counts every node and every tau
     def geff_fn(w):
         return geff(w, p, scales)
 
-    width = scales.gammabar if scales.gammabar > 0.0 else 0.05 * scales.Omega1
-    one = partial(
-        correlation_quadrature,
-        geff_fn=geff_fn,
-        beta=p.beta,
-        atol=atol,
-        peak=scales.Omega1,
-        peak_width=width,
-    )
+    def one(tau):
+        return correlation_quadrature(tau, geff_fn, p.beta, atol=atol, peak=scales.Omega1,
+                                      peak_width=scales.gammabar)
 
     def pair(tau):
         arr = np.asarray(tau, dtype=float)
@@ -283,14 +254,3 @@ def quadrature_correlation(p: SystemParams, scales: DerivedScales, atol: float =
         return values[:, 0].reshape(arr.shape), values[:, 1].reshape(arr.shape)
 
     return CorrelationFn(kind="quadrature", pair=pair)
-
-
-def wda_correlation(p: SystemParams, scales: DerivedScales) -> CorrelationFn:
-    """Weak-damping evaluator S0+S1, R0+R1."""
-    coeffs = wda_coefficients(p, scales)
-
-    def pair(tau):
-        s0, s1, r0, r1 = wda_split(tau, coeffs, scales)
-        return s0 + s1, r0 + r1
-
-    return CorrelationFn(kind="wda-split", pair=pair)

@@ -26,7 +26,7 @@ class ZeroLengthError(EffbathError, ValueError):
 
 
 class ZeroDampingError(EffbathError, ValueError):
-    """Closed-form correlation coefficients are singular at zero damping."""
+    """gamma = 0 in a spectral table or correlation quadrature: undamped, each density is a line."""
 
 
 class QuadratureNonConvergence(EffbathError, RuntimeError):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .correlation import closed_form_correlation, quadrature_correlation, wda_coefficients, wda_split
-from .errors import NonPositiveError
+from .errors import NonPositiveError, ZeroDampingError
 from .gme import TimeSeries, fastest_frequency, simulate_population
 from .params import SystemParams, convert_couplings, derived_scales, regime_flags
 from .spectral import (
@@ -159,6 +159,8 @@ SPECTRAL_HEADER = ["omega", "J_ohmic", "J_linear_eff", "J_nonlinear_eff", "chi_i
 def spectral_table(p: SystemParams, omega_max: float = 3.0, points: int = 1500) -> tuple[list, list]:
     """Header and columns of the spectral densities on ``points`` frequencies up to omega_max*Omega."""
     _check_grid("omega_max", omega_max, points)
+    if p.gamma == 0.0:
+        raise ZeroDampingError(f"gamma = {p.gamma}: undamped, each spectral density is a line, not a table")
     omega = np.linspace(omega_max / points, omega_max, points) * p.Omega
     return SPECTRAL_HEADER, _spectral_columns(p, omega)
 

@@ -326,9 +326,12 @@ def first_order_pole(
     the shift is a pure decay rate gamma*kappa = r0*K1, and r1 is
     imaginary.  The pair contributes
     exp(-gamma*kappa*t) * (weight*cos(omega*t) + sine*sin(omega*t))
-    with sine = -2*Im(r1).
+    with sine = -2*Im(r1).  An undamped run, a decoupled qubit (W = 0,
+    so K1 = 0) and a pole of weight 0 each return (0, 0) without taking
+    the transform, whose own pole at Omega1 is where a weight-0 pole, or
+    a decoupled qubit's pole, can sit.
     """
-    if gamma == 0.0:
+    if gamma == 0.0 or weight == 0.0 or coeffs.W == 0.0:
         return 0.0, 0.0
     lam = 1j * omega
     value, deriv = kernel_laplace(lam, tun, coeffs, omega1)

@@ -275,6 +275,48 @@ def test_a_zero_q0_fails_before_the_bundle(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+_FIG3_LIKE = "Omega=1\nbeta=10\nDelta=1\nepsilon=0\n"
+_EDGE_CONFIGS = {
+    "undamped": _FIG3_LIKE + "alpha=0.02\ng=0.18\ngamma=0\n",
+    "decoupled": _FIG3_LIKE + "alpha=0.02\ng=0\ngamma=0.097\n",
+    "alpha_omega_over_6": _FIG3_LIKE + f"alpha={1 / 6!r}\ng=0.18\ngamma=0.097\n",
+}
+
+
+@pytest.mark.parametrize("config, argv, ok", [
+    ("undamped", ["spectral"], False),
+    ("undamped", ["custom"], False),
+    ("undamped", ["correlation"], False),
+    ("undamped", ["niba", "--correlation", "quadrature"], False),
+    ("undamped", ["niba"], True),
+    ("undamped", ["wda"], True),
+    ("decoupled", ["wda"], True),
+    ("decoupled", ["custom"], True),
+    ("alpha_omega_over_6", ["wda"], True),
+    ("alpha_omega_over_6", ["custom"], True),
+], ids=lambda v: "_".join(arg.lstrip("-") for arg in v) if isinstance(v, list) else None)
+def test_an_undamped_or_unseen_qubit(tmp_path, capsys, config, argv, ok):
+    # undamped, each density is a line: the commands that evaluate one fail before writing, the rest
+    # run; a qubit the oscillator does not see (W = 0) has the bare cos(Delta*t) as its WDA trace
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_EDGE_CONFIGS[config])
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # alpha = Omega/6 sits on the nonlinearity-window flag
+        code = main([*argv, "--config", str(cfg), "--out", str(out)])
+    if not ok:
+        assert code == 1
+        assert capsys.readouterr().err.startswith("effbath: error: gamma = 0")
+        assert not out.exists()
+        return
+    assert code == 0
+    for path in out.glob("*.csv"):
+        assert np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1)).all(), path.name
+    if config != "undamped":
+        trace = read_csv(out / "P_wda.csv")
+        np.testing.assert_allclose(trace["P"], np.cos(trace["t"]), rtol=0, atol=1e-12)
+
+
 def _calls(tree):
     """Each call in a module, with the name of the function around it."""
     def walk(node, where):

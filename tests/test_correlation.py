@@ -5,9 +5,7 @@ import pytest
 
 from effbath import correlation
 from effbath.correlation import (
-    closed_form_coefficients,
     closed_form_correlation,
-    correlation_closed_form,
     correlation_quadrature,
     quadrature_correlation,
     wda_coefficients,
@@ -16,10 +14,31 @@ from effbath.correlation import (
 from effbath.errors import QuadratureNonConvergence, ZeroDampingError
 from effbath.gme import niba_kernels
 from effbath.params import build_params, derived_scales
-from effbath.scenarios import write_correlation_csv
+from effbath.scenarios import spectral_table, write_correlation_csv
 
 FIG3 = {"Omega": 1, "alpha": 0.02, "g": 0.18, "gamma_over_2piOmega": 0.0154,
         "beta": 10, "Delta": 1, "epsilon": 0}
+FIG3_UNDAMPED = dict(FIG3, gamma=0.0)  # the direct value wins over the scaled key
+
+
+def closed_form_amplitudes(p, s):
+    """Amplitudes I, N, X, L, Z of the closed form, read back from its evaluator.
+
+    S = X*tau + L*(e^{-gb*tau}*cos(Om1*tau) - 1) + Z*e^{-gb*tau}*sin(Om1*tau) and
+    R = I - e^{-gb*tau}*(N*sin(Om1*tau) + I*cos(Om1*tau)).  At tau = 2000 and 4000
+    the envelope underflows against 1, so R = I and S = X*tau - L; at
+    Om1*tau = pi/2 the N and Z terms separate.
+    """
+    pair = closed_form_correlation(p, s).pair
+    s_far, r_far = pair(np.array([2000.0, 4000.0]))
+    coef_x = (s_far[1] - s_far[0]) / 2000.0
+    coef_l = 2000.0 * coef_x - s_far[0]
+    tau = 0.5 * math.pi / s.Omega1
+    s_q, r_q = pair(tau)
+    envelope = np.exp(-s.gammabar * tau)
+    coef_n = (r_far[0] - r_q) / envelope
+    coef_z = (s_q - coef_x * tau + coef_l) / envelope
+    return {"I": r_far[0], "N": coef_n, "X": coef_x, "L": coef_l, "Z": coef_z}
 
 
 def matsubara_envelope(p, s, nmax=50):
@@ -33,13 +52,13 @@ def matsubara_envelope(p, s, nmax=50):
 
 
 def test_coefficients_identities(fig3_params, fig3_scales):
-    c = closed_form_coefficients(fig3_params, fig3_scales)
-    assert c.X == pytest.approx(2.0 * c.I / fig3_params.beta, rel=1e-15)
+    c = closed_form_amplitudes(fig3_params, fig3_scales)
+    assert c["X"] == pytest.approx(2.0 * c["I"] / fig3_params.beta, rel=1e-15)
     expected_i = 2 * math.pi * fig3_scales.varsigma / (1.06**2 + fig3_scales.gammabar**2)
-    assert c.I == pytest.approx(expected_i, rel=1e-14)
-    assert c.I > 0.0
-    assert c.N == pytest.approx(
-        -c.I * (fig3_scales.Omega1 / fig3_scales.gammabar - fig3_scales.gammabar / fig3_scales.Omega1),
+    assert c["I"] == pytest.approx(expected_i, rel=1e-14)
+    assert c["I"] > 0.0
+    assert c["N"] == pytest.approx(
+        -c["I"] * (fig3_scales.Omega1 / fig3_scales.gammabar - fig3_scales.gammabar / fig3_scales.Omega1),
         rel=1e-14,
     )
 
@@ -48,23 +67,26 @@ def test_coefficients_identities(fig3_params, fig3_scales):
 def test_coefficients_zero_temperature_limits():
     p = build_params(dict(FIG3, beta=400))
     s = derived_scales(p)
-    c = closed_form_coefficients(p, s)
-    assert c.L == pytest.approx(-c.I * s.Omega1 / s.gammabar, rel=1e-6)
-    assert c.Z == pytest.approx(-c.I, rel=1e-6)
+    c = closed_form_amplitudes(p, s)
+    assert c["L"] == pytest.approx(-c["I"] * s.Omega1 / s.gammabar, rel=1e-6)
+    assert c["Z"] == pytest.approx(-c["I"], rel=1e-6)
 
 
-def test_coefficients_zero_damping():
-    p = build_params(dict(FIG3, gamma=0.0))  # direct value wins over the scaled key
-    with pytest.raises(ZeroDampingError):
-        closed_form_coefficients(p, derived_scales(p))
+def test_quadrature_and_spectral_table_reject_zero_damping():
+    # undamped, each density is a line that neither a table nor a quadrature resolves
+    p = build_params(FIG3_UNDAMPED)
+    with pytest.raises(ZeroDampingError, match="gamma = 0"):
+        quadrature_correlation(p, derived_scales(p))
+    with pytest.raises(ZeroDampingError, match="gamma = 0"):
+        spectral_table(p)
 
 
 def test_closed_form_boundary_values(fig3_params, fig3_scales):
-    c = closed_form_coefficients(fig3_params, fig3_scales)
-    s0, r0 = correlation_closed_form(0.0, c, fig3_scales)
+    pair = closed_form_correlation(fig3_params, fig3_scales).pair
+    s0, r0 = pair(0.0)
     assert s0 == 0.0 and r0 == 0.0
-    _, r_late = correlation_closed_form(200.0, c, fig3_scales)
-    assert r_late == pytest.approx(c.I, abs=1e-5)
+    _, r_late = pair(200.0)
+    assert r_late == pytest.approx(closed_form_amplitudes(fig3_params, fig3_scales)["I"], abs=1e-5)
 
 
 @pytest.mark.parametrize("raw", [
@@ -144,12 +166,11 @@ def test_quadrature_float_integrand_matches_array_path(fig3_params, fig3_scales,
 
 
 def test_every_evaluator_returns_the_shape_of_tau(fig3_params, fig3_scales):
-    from effbath.correlation import wda_correlation
-
+    undamped = build_params(FIG3_UNDAMPED)
     grid = np.array([[0.0, 0.5], [1.5, 3.0]])
     for fn in (quadrature_correlation(fig3_params, fig3_scales),
                closed_form_correlation(fig3_params, fig3_scales),
-               wda_correlation(fig3_params, fig3_scales)):
+               closed_form_correlation(undamped, derived_scales(undamped))):
         s_flat, r_flat = fn.pair(grid.ravel())
         s_val, r_val = fn.pair(grid)
         assert np.shape(s_val) == np.shape(r_val) == grid.shape, fn.kind
@@ -221,10 +242,7 @@ def test_wda_split_second_order_residual():
 
 
 def test_zero_damping_routes_to_undamped_limit():
-    raw = dict(FIG3)
-    raw.pop("gamma_over_2piOmega")
-    raw["gamma"] = 0.0
-    p = build_params(raw)
+    p = build_params(FIG3_UNDAMPED)
     s = derived_scales(p)
     corr = closed_form_correlation(p, s)
     coeffs = wda_coefficients(p, s)
@@ -244,12 +262,11 @@ def test_decoupled_correlation_vanishes(free_params):
 def test_correlation_fn_kinds(fig3_params, fig3_scales):
     assert closed_form_correlation(fig3_params, fig3_scales).kind == "closed-form"
     assert quadrature_correlation(fig3_params, fig3_scales).kind == "quadrature"
-    from effbath.correlation import wda_correlation
-
-    w = wda_correlation(fig3_params, fig3_scales)
+    p = build_params(FIG3_UNDAMPED)
+    s = derived_scales(p)
+    w = closed_form_correlation(p, s)
     assert w.kind == "wda-split"
-    c = wda_coefficients(fig3_params, fig3_scales)
     tau = np.linspace(0.0, 5.0, 40)
-    s0, s1, r0, r1 = wda_split(tau, c, fig3_scales)
+    s0, s1, r0, r1 = wda_split(tau, wda_coefficients(p, s), s)
     np.testing.assert_allclose(w.S(tau), s0 + s1, rtol=1e-14)
     np.testing.assert_allclose(w.R(tau), r0 + r1, rtol=1e-14)

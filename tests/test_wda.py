@@ -355,6 +355,17 @@ def test_population_decoupled_cosine(free_params):
     np.testing.assert_allclose(wda_population(t, spectrum), np.cos(t), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("delta", [1.0, 1.06], ids=["delta_1", "delta_Omega1"])
+def test_damped_decoupled_qubit_has_a_silent_second_pole(delta):
+    # g = 0 with gamma > 0: W = 0, and the second pole sits at Omega1 on the kernel's own pole
+    p = build_params({"Omega": 1, "alpha": 0.02, "g": 0.0, "gamma": 0.097, "beta": 10, "Delta": delta, "epsilon": 0})
+    assert derived_scales(p).Omega1 == 1.06
+    spectrum = build_wda_spectrum(p)
+    assert spectrum.weight_minus == spectrum.kappa_minus == spectrum.sine_minus == 0.0
+    t = np.linspace(0.0, 40.0, 500)
+    np.testing.assert_allclose(wda_population(t, spectrum), np.cos(delta * t), rtol=0, atol=1e-12)
+
+
 def test_truncation_ratio_second_harmonic_small(fig3_params):
     coeffs, scales, tun = _tunneling(fig3_params)
     ratio = truncation_ratio_n2(tun, coeffs, fig3_params.beta, scales.Omega1)
