@@ -15,6 +15,7 @@ temperature-dependent tolerance; that gap is asserted, not hidden.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import QuadratureNonConvergence, ZeroDampingError
 from .params import DerivedScales, SystemParams
-from .spectral import geff
+from .spectral import geff_function
 
 __all__ = [
     "WdaCoefficients",
@@ -100,12 +101,6 @@ def wda_split(tau, coeffs: WdaCoefficients, scales: DerivedScales):
     return s0, s1, r0, r1
 
 
-def _quad_piece(fn, a, b, epsabs, **weight):
-    from scipy.integrate import quad  # here, so the package imports without scipy
-
-    return quad(fn, a, b, epsabs=epsabs, epsrel=1e-10, limit=400, **weight)
-
-
 def correlation_quadrature(
     tau: float,
     geff_fn: Callable,
@@ -125,31 +120,42 @@ def correlation_quadrature(
     quadrature; the integration range is split at the spectral peak (when
     given) and at w = 2*pi/tau.  ``tau`` must be finite and >= 0; anything
     else raises ValueError before any integral runs.  Raises
-    QuadratureNonConvergence with the achieved error estimate when the
-    combined estimate exceeds ``atol``.
+    QuadratureNonConvergence with the achieved error estimate, and
+    QUADPACK's own messages, when the combined estimate exceeds ``atol``;
+    within ``atol`` QUADPACK's warnings are issued again after the
+    integrals.
     """
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
     if tau == 0.0:
         return 0.0, 0.0
+    from scipy.integrate import IntegrationWarning, quad  # here, so the package imports without scipy
+
+    # each node runs one integrand frame around G: G/w^2, coth(beta*w/2) and
+    # cos/sin(w*tau) inline, in the order of f = G/w^2, f*coth, f*coth*(1 - cos)
+    half_beta = 0.5 * beta
+    cos, sin, expm1 = math.cos, math.sin, math.expm1
 
     def f(w):
-        return float(geff_fn(w)) / w**2
+        return geff_fn(w) / w**2
 
     def f_coth(w):
-        return f(w) * _coth(0.5 * beta * w)
+        x = half_beta * w
+        return geff_fn(w) / w**2 * (1.0 if x > 350.0 else 1.0 + 2.0 / expm1(2.0 * x))
 
     def s_integrand(w):
-        return f_coth(w) * (1.0 - math.cos(w * tau))
+        x = half_beta * w
+        return geff_fn(w) / w**2 * (1.0 if x > 350.0 else 1.0 + 2.0 / expm1(2.0 * x)) * (1.0 - cos(w * tau))
 
     def r_integrand(w):
-        return f(w) * math.sin(w * tau)
+        return geff_fn(w) / w**2 * sin(w * tau)
 
     # knots: stay below one oscillation period before splitting off cos/sin;
     # the [0, a0] pieces use plain quadrature (interior nodes only) because
     # f itself is 1/w-singular at the origin even though the integrands are
     # finite there
-    a0 = min(2.0 * math.pi / tau, omega_max)
+    period = 2.0 * math.pi / tau
+    a0 = min(period, omega_max)
     if peak is not None:
         width = 5.0 * (peak_width if peak_width is not None else 0.1 * peak)
         a0 = min(a0, max(peak - width, 0.25 * peak))
@@ -159,28 +165,52 @@ def correlation_quadrature(
     edges = [a0] + knots + [omega_max]
 
     eps = atol / (4 + 3 * len(edges))
-    total_err = 0.0
+    # the evaluator's G carries a memo of the smooth pieces int_lo^hi f*coth;
+    # QUADPACK is deterministic, so a hit returns the bits, and the warnings,
+    # that integrating the piece again would.  A piece from 2*pi/tau serves
+    # this tau alone and is not kept
+    memo = getattr(geff_fn, "smooth_pieces", {})
 
-    s_val, err = _quad_piece(s_integrand, 0.0, a0, epsabs=eps)
-    total_err += err
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        smooth, err1 = _quad_piece(f_coth, lo, hi, epsabs=eps)
-        osc, err2 = _quad_piece(f_coth, lo, hi, weight="cos", wvar=tau, epsabs=eps)
-        s_val += smooth - osc
-        total_err += err1 + err2
+    def piece(fn, a, b, **weight):
+        return quad(fn, a, b, epsabs=eps, epsrel=1e-10, limit=400, **weight)
 
-    r_val, err = _quad_piece(r_integrand, 0.0, a0, epsabs=eps)
-    total_err += err
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        piece, err = _quad_piece(f, lo, hi, weight="sin", wvar=tau, epsabs=eps)
-        r_val += piece
+    # QUADPACK's warnings are caught once per tau, not per node or per piece
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", IntegrationWarning)
+        replayed = []
+        s_val, total_err = piece(s_integrand, 0.0, a0)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            key = (beta, lo, hi, eps)
+            if key in memo:
+                smooth, err1, stored = memo[key]
+                replayed += stored
+            else:
+                start = len(caught)
+                smooth, err1 = piece(f_coth, lo, hi)
+                if lo != period:
+                    memo[key] = (smooth, err1, caught[start:])
+            osc, err2 = piece(f_coth, lo, hi, weight="cos", wvar=tau)
+            s_val += smooth - osc
+            total_err += err1 + err2
+
+        r_val, err = piece(r_integrand, 0.0, a0)
         total_err += err
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            value, err = piece(f, lo, hi, weight="sin", wvar=tau)
+            r_val += value
+            total_err += err
 
+    raised = caught + replayed
     if total_err > atol:
+        quadpack = dict.fromkeys(" ".join(str(w.message).split()) for w in raised
+                                 if issubclass(w.category, IntegrationWarning))
         raise QuadratureNonConvergence(
-            f"correlation quadrature reached abs error {total_err:.3e} > atol {atol:.3e}",
+            f"correlation quadrature at tau = {tau:g} reached abs error {total_err:.3e} > atol {atol:.3e}"
+            + "".join(f"; QUADPACK: {text}" for text in quadpack),
             achieved=total_err,
         )
+    for w in raised:
+        warnings.warn(w.message, stacklevel=2)
     return s_val, r_val
 
 
@@ -231,16 +261,21 @@ def quadrature_correlation(p: SystemParams, scales: DerivedScales, atol: float =
     """Quadrature evaluator of the correlation integrals for these params.
 
     Each tau is integrated once; S and R come out of the same call, in the
-    shape of tau.  gamma = 0, where G(omega) is a line, raises ZeroDampingError.
+    shape of tau.  The smooth pieces int G/w^2*coth(beta*w/2) between the
+    knots do not depend on tau: each is integrated once per evaluator and
+    reused, with the same bits, by every later tau with the same knots.
+    gamma = 0, where G(omega) is a line, raises ZeroDampingError.
     """
     if scales.gammabar == 0.0:
         raise ZeroDampingError(f"gamma = {p.gamma}: undamped, G(omega) is a line at Omega1, which no quadrature"
                                " resolves; the closed-form evaluator takes gamma = 0")
 
-    # geff and correlation_quadrature are looked up per call, so perfbench's
-    # tracer counts every node and every tau
-    def geff_fn(w):
-        return geff(w, p, scales)
+    # G's constants are bound once, and G is called once per node from inside
+    # the integrand; the memo it carries holds the smooth pieces.  Each tau
+    # looks correlation_quadrature up in this module, so perfbench's tracer
+    # counts every tau
+    geff_fn = geff_function(p, scales)
+    geff_fn.smooth_pieces = {}
 
     def one(tau):
         return correlation_quadrature(tau, geff_fn, p.beta, atol=atol, peak=scales.Omega1,

@@ -161,7 +161,9 @@ def derived_scales(p: SystemParams) -> DerivedScales:
     """Compute all derived scales; deterministic and purely algebraic.
 
     Raises NonPositiveError for alpha > Omega/6, where the first-order
-    factor 1 - 6*alpha/Omega, and with it the effective density, turns negative.
+    factor 1 - 6*alpha/Omega, and with it the effective density, turns
+    negative; alpha is compared with Omega/6 itself, so the float Omega/6
+    passes however 1 - 6*alpha/Omega rounds.
     """
     y0 = math.sqrt(1.0 / (p.M * p.Omega))
     n1 = 1.0 - 1.5 * p.alpha / p.Omega
@@ -169,11 +171,13 @@ def derived_scales(p: SystemParams) -> DerivedScales:
     nth = bose_occupation(omega1, p.beta)
     gammabar = 0.5 * (2.0 * nth + 1.0) * p.gamma
     n1_pow4_first_order = 1.0 - 6.0 * p.alpha / p.Omega
-    if n1_pow4_first_order < 0.0:
+    if p.alpha > p.Omega / 6.0:
         raise NonPositiveError(
-            f"alpha = {p.alpha:g} exceeds Omega/6 = {p.Omega / 6.0:.6g}: the effective spectral density's"
+            f"alpha = {p.alpha!r} exceeds Omega/6 = {p.Omega / 6.0!r}: the effective spectral density's"
             f" factor 1 - 6*alpha/Omega = {n1_pow4_first_order:.6g} is negative"
         )
+    # at alpha = Omega/6 the factor can round to -2e-16; it is 0 there
+    n1_pow4_first_order = max(n1_pow4_first_order, 0.0)
     varsigma = p.g**2 * p.gamma * n1_pow4_first_order / (math.pi * p.Omega**3)
     return DerivedScales(
         y0=y0,

@@ -153,14 +153,18 @@ def _check_grid(name: str, end: float, points: int) -> None:
         raise NonPositiveError(f"points must be at least 1, got {points}")
 
 
+def _check_damped(p: SystemParams) -> None:
+    if p.gamma == 0.0:
+        raise ZeroDampingError(f"gamma = {p.gamma}: undamped, each spectral density is a line, not a table")
+
+
 SPECTRAL_HEADER = ["omega", "J_ohmic", "J_linear_eff", "J_nonlinear_eff", "chi_imag", "G_eff"]
 
 
 def spectral_table(p: SystemParams, omega_max: float = 3.0, points: int = 1500) -> tuple[list, list]:
     """Header and columns of the spectral densities on ``points`` frequencies up to omega_max*Omega."""
     _check_grid("omega_max", omega_max, points)
-    if p.gamma == 0.0:
-        raise ZeroDampingError(f"gamma = {p.gamma}: undamped, each spectral density is a line, not a table")
+    _check_damped(p)
     omega = np.linspace(omega_max / points, omega_max, points) * p.Omega
     return SPECTRAL_HEADER, _spectral_columns(p, omega)
 
@@ -237,7 +241,8 @@ def run_scenario(tag: str, params: SystemParams) -> dict:
     only picked for its peak keys, ends at omega <= 3*Omega, or at
     twice the fastest of Omega1, Delta and |epsilon| if that lies higher;
     for the figure sets that is 3*Omega.  An unknown tag raises
-    ValueError before anything is computed.
+    ValueError before anything is computed, and so does "custom" at
+    gamma = 0, whose spectral table it cannot hold (ZeroDampingError).
     """
     if tag != "fig2" and tag not in _CONTENTS:
         raise ValueError(f"unknown scenario tag {tag!r}; expected one of {sorted([*_CONTENTS, 'fig2'])}")
@@ -254,6 +259,8 @@ def run_scenario(tag: str, params: SystemParams) -> dict:
         summary["jeff_peak_height"] = height
     else:
         traces, spectra = _CONTENTS[tag]
+        if tag == "custom":
+            _check_damped(params)  # the spectral table comes last; its input fails first
         twins = tag in ("fig7", "fig8")
         variants = (("nonlinear", params), ("linear", params.with_alpha(0.0))) if twins else (("", params),)
         for label, prm in variants:

@@ -19,6 +19,7 @@ __all__ = [
     "susceptibility_imag",
     "nonlinear_effective_density",
     "geff",
+    "geff_function",
     "density_peak",
 ]
 
@@ -86,18 +87,32 @@ def geff(omega, p: SystemParams, scales: DerivedScales):
     Equals q0**2*J_eff/(pi*hbar) up to the first-order-in-alpha reduction
     Omega1*n1**2 ~ Omega; independent of q0.
 
-    A Python float is computed in floats and returns a float: the
-    quadrature oracle calls G once per node, where numpy's per-call cost
-    would dominate.  Anything else is computed as a numpy array.  Both run
-    the same operations in the same order, except that a float squares by
-    pow() and an array by a product, which can differ in the last bit.
+    A Python float is computed in floats and returns a float; anything
+    else is computed as a numpy array.  Both run ``geff_function``'s
+    operations in the same order, except that a float squares by pow() and
+    an array by a product, which can differ in the last bit.
     """
     w = omega if isinstance(omega, float) else np.asarray(omega, dtype=float)
-    magnitude = abs(w)
+    return geff_function(p, scales)(w)
+
+
+def geff_function(p: SystemParams, scales: DerivedScales):
+    """G(omega) of ``geff`` as a one-argument function, its constants bound once.
+
+    The quadrature oracle calls it once per node with a Python float, where
+    an attribute lookup per constant, or numpy's per-call cost, would
+    dominate; given a numpy array it computes elementwise.
+    """
     om1 = scales.Omega1
-    weight = 2.0 * om1 / (magnitude + om1)
-    den = scales.gammabar**2 + (magnitude - om1) ** 2
-    return 2.0 * scales.varsigma * p.Omega**2 * w * weight / den
+    two_om1 = 2.0 * om1
+    gammabar_sq = scales.gammabar**2
+    amplitude = 2.0 * scales.varsigma * p.Omega**2
+
+    def g(w):
+        magnitude = abs(w)
+        return amplitude * w * (two_om1 / (magnitude + om1)) / (gammabar_sq + (magnitude - om1) ** 2)
+
+    return g
 
 
 # golden-section fraction (3 - sqrt(5))/2, and the relative bracket width

@@ -317,6 +317,37 @@ def test_an_undamped_or_unseen_qubit(tmp_path, capsys, config, argv, ok):
         np.testing.assert_allclose(trace["P"], np.cos(trace["t"]), rtol=0, atol=1e-12)
 
 
+def test_custom_rejects_zero_damping_before_any_march(tmp_path, monkeypatch, capsys):
+    # the spectral table is the last piece of a custom bundle, but its damping is checked first
+    def no_march(*args, **kwargs):
+        raise AssertionError("the march ran")
+
+    monkeypatch.setattr(scenarios, "simulate_population", no_march)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_EDGE_CONFIGS["undamped"])
+    assert main(["custom", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "effbath: error: gamma = 0.0: undamped, each spectral density is a line, not a table\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_quadrature_that_misses_its_budget_prints_one_error_line(tmp_path):
+    # at gamma = 1e-6 QUADPACK reports roundoff in its extrapolation table; its text
+    # belongs in the typed error, not in a warning printed before it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_FIG3_LIKE + "alpha=0.02\ng=0.18\ngamma=1e-6\n")
+    probe = (f"import sys\nsys.path.insert(0, {str(SRC)!r})\nfrom effbath.cli import main\n"
+             f"sys.exit(main(['correlation', '--points', '7', '--config', 'run.cfg', '--out', 'out']))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          cwd=tmp_path, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("effbath: error: correlation quadrature at tau = 5 reached abs error")
+    assert "QUADPACK: The algorithm does not converge. Roundoff error is detected" in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "IntegrationWarning" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def _calls(tree):
     """Each call in a module, with the name of the function around it."""
     def walk(node, where):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from effbath import correlation
 from effbath.correlation import (
@@ -163,6 +164,68 @@ def test_quadrature_float_integrand_matches_array_path(fig3_params, fig3_scales,
 
     expected = correlation_quadrature(tau, array_path, p.beta, peak=s.Omega1, peak_width=s.gammabar)
     assert quadrature_correlation(p, s).pair(tau) == expected
+
+
+def test_one_evaluator_over_a_grid_matches_the_array_path(fig3_params, fig3_scales):
+    # one evaluator reuses its tau-independent pieces across the grid, over both
+    # knot layouts (tau = 12 and 20 lie past 2*pi/(Omega1 - 5*gammabar)); S and R
+    # must equal, bit for bit, a fresh integration of each tau through geff's numpy path
+    p, s = fig3_params, fig3_scales
+    grid = np.array([1.0, 2.0 * math.pi, 12.0, 20.0, 3.0])
+    assert (grid > 2.0 * math.pi / (s.Omega1 - 5.0 * s.gammabar)).sum() == 2
+    from effbath.spectral import geff
+
+    def array_path(w):
+        return geff(np.array([w]), p, s)[0]
+
+    s_val, r_val = quadrature_correlation(p, s).pair(grid)
+    for i, tau in enumerate(grid.tolist()):
+        expected = correlation_quadrature(tau, array_path, p.beta, peak=s.Omega1, peak_width=s.gammabar)
+        assert (s_val[i], r_val[i]) == expected, tau
+
+
+def test_a_second_tau_reuses_the_smooth_pieces(fig3_params, fig3_scales, monkeypatch):
+    # tau = 1 and 2 share their knots, so the second starts no unweighted
+    # quadrature above the first knot; a fresh evaluator gives the same bits
+    import scipy.integrate
+
+    calls = []
+    real = scipy.integrate.quad
+
+    def counted(fn, a, b, **kwargs):
+        calls.append((a, "weight" in kwargs))
+        return real(fn, a, b, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counted)
+    warm = quadrature_correlation(fig3_params, fig3_scales)
+    warm.pair(1.0)
+    assert sum(a > 0.0 and not weighted for a, weighted in calls) == 2
+    calls.clear()
+    reused = warm.pair(2.0)
+    assert sum(a > 0.0 and not weighted for a, weighted in calls) == 0
+    assert len(calls) == 6  # [0, a0] for S and R, two cos- and two sin-weighted pieces
+    assert quadrature_correlation(fig3_params, fig3_scales).pair(2.0) == reused
+    # past 2*pi/(Omega1 - 5*gammabar) a first piece from 2*pi/tau joins the
+    # knots (and a smaller epsabs, a new layout); it serves that tau alone, so a
+    # second tau = 20 integrates it again and reuses the other two
+    starts = []
+    for _ in range(2):
+        calls.clear()
+        warm.pair(20.0)
+        starts.append([a for a, weighted in calls if a > 0.0 and not weighted])
+    assert len(starts[0]) == 3 and starts[1] == [2.0 * math.pi / 20.0] == starts[0][:1]
+
+
+def test_quadpack_warnings_join_the_error_or_are_issued_again():
+    # a G that QUADPACK finds slowly convergent: past atol its message is in the
+    # typed error; within atol its warning is issued again, once the integrals are done
+    def rough(w):
+        return w * math.sin(1e4 * w)
+
+    with pytest.raises(QuadratureNonConvergence, match="QUADPACK: The integral is probably divergent"):
+        correlation_quadrature(1.0, rough, 10.0)
+    with pytest.warns(IntegrationWarning, match="probably divergent"):
+        correlation_quadrature(1.0, rough, 10.0, atol=10.0)
 
 
 def test_every_evaluator_returns_the_shape_of_tau(fig3_params, fig3_scales):

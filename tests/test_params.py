@@ -101,6 +101,21 @@ def test_derived_scales_linear_limit():
     assert s.n1 == 1.0 and s.Omega1 == 1.0 and s.n1_pow4 == 1.0
 
 
+def test_alpha_at_omega_over_6_is_accepted_however_the_factor_rounds():
+    # at alpha = Omega/6 the factor 1 - 6*alpha/Omega rounds below 0 at 103
+    # of these Omega, the first at 0.406; the next float up is still rejected
+    base = build_params(FIG3)
+    rounded_below = 0
+    for omega in np.linspace(0.3, 3.0, 2701).tolist():
+        edge = omega / 6.0
+        rounded_below += 1.0 - 6.0 * edge / omega < 0.0
+        factor = derived_scales(dataclasses.replace(base, Omega=omega, alpha=edge)).n1_pow4_first_order
+        assert 0.0 <= factor < 1e-15, omega
+        with pytest.raises(NonPositiveError, match="exceeds Omega/6"):
+            derived_scales(dataclasses.replace(base, Omega=omega, alpha=math.nextafter(edge, math.inf)))
+    assert rounded_below == 103
+
+
 def test_bose_occupation_value():
     # independent evaluation of the occupation at the shifted frequency
     p = build_params(FIG3)
