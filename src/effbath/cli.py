@@ -186,14 +186,23 @@ def _write_bundle(bundle: dict, out: Path) -> None:
 
     The one place that writes: a name ending in ``.txt`` maps to the
     entries of a key=value summary, any other name to the ``(header,
-    columns)`` of a CSV.
+    columns)`` of a CSV.  A failed write removes what this call made.
     """
+    dirs = [path for path in (out, *out.parents) if not path.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)
-    for name, content in bundle.items():
-        if name.endswith(".txt"):
-            write_summary(out / name, content)
-        else:
-            write_csv(out / name, *content)
+    files = [out / name for name in bundle if not (out / name).exists()]
+    try:
+        for name, content in bundle.items():
+            if name.endswith(".txt"):
+                write_summary(out / name, content)
+            else:
+                write_csv(out / name, *content)
+    except BaseException:
+        for path in files:
+            path.unlink(missing_ok=True)
+        for path in dirs:
+            path.rmdir()
+        raise
 
 
 def main(argv=None) -> int:

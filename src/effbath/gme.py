@@ -109,9 +109,10 @@ def niba_kernels(corr: CorrelationFn, delta: float, epsilon: float, h: float, n_
     t = h * np.arange(n_steps + 1)
     s_val, r_val = corr.pair(t)
     envelope = delta**2 * np.exp(-s_val)
-    ks = envelope * np.cos(r_val) * np.cos(epsilon * t)
-    ka = envelope * np.sin(r_val) * np.sin(epsilon * t)
-    return KernelGrid(h=h, ks=ks, ka=ka)
+    ks = envelope * np.cos(r_val)
+    if epsilon == 0.0:  # cos(0) = 1 would leave every bit of ks as it is, and Ka vanishes
+        return KernelGrid(h=h, ks=ks, ka=np.zeros(n_steps + 1))
+    return KernelGrid(h=h, ks=ks * np.cos(epsilon * t), ka=envelope * np.sin(r_val) * np.sin(epsilon * t))
 
 
 def solve_gme(kernels: KernelGrid) -> TimeSeries:
@@ -119,11 +120,9 @@ def solve_gme(kernels: KernelGrid) -> TimeSeries:
 
     Product-integration trapezoid for the convolution combined with an
     implicit-trapezoid update, one fixed-point correction per step; global
-    error O(h^2).  The history sums come from a divide-and-conquer of FFT
-    middle products (``accel.march``), so N steps cost O(N log^2 N).  Each
-    block of up to 128 steps is one Toeplitz solve for the increments of
-    P: a length-128 convolution with an inverse column formed once per
-    march, so no step runs in the interpreter.
+    error O(h^2).  ``accel.march`` solves each leaf of up to 256 steps as
+    one Toeplitz system and adds its history to later steps by FFT, so N
+    steps cost O(N log^2 N) and no step runs in the interpreter.
     Raises NonFiniteStateError if the trace diverges.
     """
     n_steps = kernels.ks.shape[0] - 1

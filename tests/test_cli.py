@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import effbath
-from effbath import scenarios
+from effbath import cli, scenarios
 from effbath.cli import main
 from effbath.params import build_params
 from effbath.scenarios import FIGURE_PARAMS, run_scenario, write_csv
@@ -265,6 +265,35 @@ def test_a_run_that_fails_late_writes_nothing(tmp_path, monkeypatch, capsys):
     assert main(["custom", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert "spectral densities failed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_failed_write_leaves_no_new_file(tmp_path, capsys):
+    # a directory named P_wda.csv stops the fig3 bundle after P_niba.csv is written
+    out = tmp_path / "out"
+    (out / "P_wda.csv").mkdir(parents=True)
+    (out / "notes.txt").write_text("kept\n")
+    before = sorted(out.rglob("*"))
+    assert main(["figure", "fig3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("effbath: error: ") and err.count("\n") == 1
+    assert sorted(out.rglob("*")) == before
+    assert (out / "notes.txt").read_text() == "kept\n"
+
+
+def test_a_failed_write_removes_the_directories_it_made(tmp_path, monkeypatch, capsys):
+    # the second file of the bundle fails after it was opened; --out and its new parent go too
+    calls = []
+
+    def write_then_fail(path, header, columns):
+        calls.append(path)
+        write_csv(path, header, columns)
+        if len(calls) == 2:
+            raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_csv", write_then_fail)
+    assert main(["figure", "fig3", "--out", str(tmp_path / "new" / "out")]) == 1
+    assert capsys.readouterr().err == "effbath: error: disk full\n"
+    assert len(calls) == 2 and not list(tmp_path.iterdir())
 
 
 def test_a_zero_q0_fails_before_the_bundle(tmp_path, capsys):

@@ -76,6 +76,18 @@ def test_kernels_initial_values(fig3_params, fig3_scales):
     np.testing.assert_array_equal(grid.ka, 0.0)  # symmetric case
 
 
+def test_unbiased_kernels_keep_the_bits_of_the_bias_factors(fig3_params, fig3_scales):
+    # at epsilon = 0 the kernels skip cos(epsilon*t) and sin(epsilon*t), bit for bit
+    corr = closed_form_correlation(fig3_params, fig3_scales)
+    h, n_steps = time_grid(fig3_params, fig3_scales)
+    grid = niba_kernels(corr, fig3_params.Delta, 0.0, h, n_steps)
+    t = h * np.arange(n_steps + 1)
+    s_val, r_val = corr.pair(t)
+    envelope = fig3_params.Delta**2 * np.exp(-s_val)
+    assert grid.ks.tobytes() == (envelope * np.cos(r_val) * np.cos(0.0 * t)).tobytes()
+    assert grid.ka.tobytes() == np.zeros(n_steps + 1).tobytes()  # +0.0 everywhere
+
+
 def test_kernels_envelope_bound(fig3_params, fig3_scales):
     corr = closed_form_correlation(fig3_params, fig3_scales)
     grid = niba_kernels(corr, fig3_params.Delta, 0.0, 0.02, 2000)
@@ -140,10 +152,14 @@ def test_step_halving_order_full_horizon(fig3_params):
 _LEAF = accel._LEAF
 
 
-@pytest.mark.parametrize("n_steps", [1, 2, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 1, 5003])
+_SIZES = {1, 2, 127, 128, 129, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 1, 4 * _LEAF + 1, 7 * _LEAF + 3, 5003}
+
+
+@pytest.mark.parametrize("n_steps", sorted(_SIZES))
 def test_march_matches_the_direct_sum(n_steps):
-    # biased kernels, so the Ka forcing is nonzero; the sizes put the grid end
-    # on and beside every block boundary of the divide-and-conquer sum
+    # biased kernels, so the Ka forcing is nonzero; the sizes end the grid
+    # inside the first leaf, on and beside a leaf boundary, after a carry of
+    # three levels (4 leaves + 1) and in a clipped tail (7 leaves + 3)
     biased = build_params({**FIGURE_PARAMS["fig3"], "epsilon": 0.1})
     inputs = _march_inputs(biased, n_steps)
     assert np.abs(inputs[2]).max() > 0.0
@@ -191,16 +207,42 @@ def test_step_too_large_for_bias(fig3_params):
         simulate_population(biased, step=step, horizon=1.0)
 
 
+def _first_bad_step(march, ks0):
+    """First bad step of a march over a constant kernel ks0, h = 0.01, 1000 steps."""
+    return march(0.01, np.full(1001, ks0), np.zeros(1001), 1000)[1]
+
+
 def test_non_finite_state_guard():
     # a negative constant kernel makes the trace grow like cosh and must trip
     # the divergence guard instead of overflowing silently
     grid = KernelGrid(h=0.01, ks=np.full(1001, -25.0), ka=np.zeros(1001))
     with pytest.raises(NonFiniteStateError):
         solve_gme(grid)
-    # the first bad step lies past two block boundaries and matches the direct sum
-    _, bad = accel.march(grid.h, grid.ks, np.zeros(1001), 1000)
-    assert bad > 2 * _LEAF
-    assert bad == _reference_march(grid.h, grid.ks, np.zeros(1001), 1000)[1]
+    # the first bad step matches the direct sum; at ks = -4 it lies past two leaf boundaries
+    for ks0 in (-25.0, -4.0):
+        assert _first_bad_step(accel.march, ks0) == _first_bad_step(_reference_march, ks0)
+    assert _first_bad_step(accel.march, -4.0) > 2 * _LEAF
+
+
+@pytest.fixture(scope="module")
+def direct_sums(fig5_params):
+    """(inputs, direct-sum p, bound) of the fig5 and biased 5003-step marches."""
+    biased = build_params({**FIGURE_PARAMS["fig3"], "epsilon": 0.1})
+    cases = [(_march_inputs(fig5_params, 5003), 2e-14), (_march_inputs(biased, 5003), 1e-12)]
+    return [(inputs, _reference_march(*inputs)[0], bound) for inputs, bound in cases]
+
+
+@pytest.mark.parametrize("leaf", [64, 128, 256])
+def test_march_does_not_depend_on_the_leaf_size(monkeypatch, direct_sums, leaf):
+    # the leaf size sets the Toeplitz solves, the carries and the FFT lengths;
+    # at each size the march keeps the direct-sum bounds and the guard's step
+    monkeypatch.setattr(accel, "_LEAF", leaf)
+    for inputs, p_ref, bound in direct_sums:
+        p, bad = accel.march(*inputs)
+        assert bad == -1
+        assert np.abs(p - p_ref).max() <= bound
+    for ks0 in (-25.0, -4.0):
+        assert _first_bad_step(accel.march, ks0) == _first_bad_step(_reference_march, ks0)
 
 
 @pytest.mark.parametrize(
