@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -186,19 +187,28 @@ def _write_bundle(bundle: dict, out: Path) -> None:
 
     The one place that writes: a name ending in ``.txt`` maps to the
     entries of a key=value summary, any other name to the ``(header,
-    columns)`` of a CSV.  A failed write removes what this call made.
+    columns)`` of a CSV.  Each file is written under a temporary name in
+    ``out`` and renamed into place only once the last write has succeeded,
+    so a failed write leaves every file of an earlier run as it was.  A
+    failure removes the temporary files, any file of the bundle this call
+    had already renamed into a new place, and every directory it made.
     """
     dirs = [path for path in (out, *out.parents) if not path.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)
-    files = [out / name for name in bundle if not (out / name).exists()]
+    temp = {name: out / f".{name}.{os.getpid()}.tmp" for name in bundle}
+    new = {name for name in bundle if not (out / name).exists()}
+    placed = []
     try:
         for name, content in bundle.items():
             if name.endswith(".txt"):
-                write_summary(out / name, content)
+                write_summary(temp[name], content)
             else:
-                write_csv(out / name, *content)
+                write_csv(temp[name], *content)
+        for name in bundle:
+            os.replace(temp[name], out / name)
+            placed.append(name)
     except BaseException:
-        for path in files:
+        for path in (*temp.values(), *(out / name for name in new.intersection(placed))):
             path.unlink(missing_ok=True)
         for path in dirs:
             path.rmdir()

@@ -65,16 +65,22 @@ def nonlinear_effective_density(omega_ex, p: SystemParams, scales: DerivedScales
     Peaked at the shifted frequency Omega1, Ohmic at low frequency and odd
     in omega_ex.  Must coincide with -gbar**2 * susceptibility_imag to
     machine precision.
+
+    A Python float is computed in floats and returns a float, as in
+    ``geff``; ``density_peak``'s golden-section search calls it that way.
+    Both paths square by a product, so they agree bit for bit.
     """
-    w = np.asarray(omega_ex, dtype=float)
+    w = omega_ex if isinstance(omega_ex, float) else np.asarray(omega_ex, dtype=float)
     gbar, _ = convert_couplings(p)
     n14 = scales.n1_pow4
     om1 = scales.Omega1
-    weight = 2.0 * om1 / (np.abs(w) + om1)
+    magnitude = abs(w)
+    weight = 2.0 * om1 / (magnitude + om1)
     num = gbar**2 * p.gamma * w * n14 * weight
+    detuning = magnitude - om1
     den = (
         p.M * p.gamma**2 * om1**2 * (2.0 * scales.nth + 1.0) ** 2 * n14
-        + 4.0 * p.M * p.Omega**2 * (np.abs(w) - om1) ** 2
+        + 4.0 * p.M * p.Omega**2 * (detuning * detuning)
     )
     return num / den
 

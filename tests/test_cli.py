@@ -296,6 +296,23 @@ def test_a_failed_write_removes_the_directories_it_made(tmp_path, monkeypatch, c
     assert len(calls) == 2 and not list(tmp_path.iterdir())
 
 
+def test_a_failed_write_keeps_the_files_of_an_earlier_run(tmp_path, monkeypatch, capsys):
+    # the second run writes other bytes and fails at P_wda.csv, after P_niba.csv; --out keeps the first run
+    out = tmp_path / "out"
+    assert main(["figure", "fig3", "--out", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+    def write_other_bytes(path, header, columns):
+        Path(path).write_bytes(b"t,P\n0,0\n")
+        if "P_wda.csv" in Path(path).name:
+            raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_csv", write_other_bytes)
+    assert main(["figure", "fig3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "effbath: error: disk full\n"
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 def test_a_zero_q0_fails_before_the_bundle(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("Omega=1\nalpha=0.01\ng=0.1\ngamma=0.08\nbeta=10\nDelta=1\nepsilon=0\nq0=0\n")

@@ -95,6 +95,23 @@ def test_peak_at_shifted_frequency(fig2_params):
     assert height > 0.0
 
 
+def test_density_float_path_matches_array_path(fig2_params):
+    # a float is computed in floats, an array in numpy; both square by a
+    # product, so every point of the peak search's grid gives the same bits
+    p = fig2_params
+    s = derived_scales(p)
+    ws = np.concatenate([np.arange(1, 4001) / 2000.0, [0.0, s.Omega1, -s.Omega1, -0.3, 900.0]])
+    as_array = nonlinear_effective_density(ws, p, s)
+    for w, expected in zip(ws.tolist(), as_array):
+        value = nonlinear_effective_density(w, p, s)
+        assert type(value) is float
+        assert value == expected, w
+    # the golden-section search lands on the same bits either way
+    by_float = density_peak(lambda w: nonlinear_effective_density(w, p, s), Omega=p.Omega)
+    by_array = density_peak(lambda w: nonlinear_effective_density(np.asarray(w), p, s), Omega=p.Omega)
+    assert by_float == by_array
+
+
 def test_peak_shift_monotone_in_nonlinearity():
     locs = []
     for alpha in np.linspace(0.0, 0.05, 6):

@@ -5,6 +5,7 @@ from effbath.errors import BandTooNarrowError, NoPeaksError, TooShortError
 from effbath.gme import TimeSeries, simulate_population
 from effbath.params import build_params
 from effbath.scenarios import FIGURE_PARAMS, peak_entries, run_scenario
+from effbath import spectrum
 from effbath.spectrum import fourier_spectrum, peak_extract
 
 
@@ -141,6 +142,47 @@ def test_band_transform_matches_the_full_fft(rng, n, pad, window):
         processed = processed * np.hanning(n)
     full = np.abs(np.fft.rfft(processed, n=n_pad))[:m]
     assert np.abs(band.magnitude - full).max() <= 1e-14 * full.max()
+
+
+# n_pad = 10,798 = 2 * 5399, 86,384 = 16 * 5399, 81,440 = 32 * 5 * 509 and
+# the prime 12,007: numpy would run each by its own Bluestein
+@pytest.mark.parametrize("n, pad", [(10_798, 1), (10_798, 8), (10_180, 8), (81_440, 1), (12_007, 1)])
+def test_full_band_routed_lengths_match_the_rfft(rng, n, pad):
+    series = _series(rng.standard_normal(n))
+    spectrum._bluestein_plan.cache_clear()
+    result = fourier_spectrum(series, zero_pad_factor=pad)
+    assert spectrum._bluestein_plan.cache_info().currsize == 1  # the chirp-z path, not the rfft one
+    np.testing.assert_array_equal(result.omega, 2.0 * np.pi * np.fft.rfftfreq(n * pad, d=0.05))
+    full = np.abs(np.fft.rfft(series.values - series.values.mean(), n=n * pad))
+    assert np.abs(result.magnitude - full).max() <= 1e-14 * full.max()
+
+
+# largest prime factors 43, 2, 167 and 167: numpy runs these directly
+@pytest.mark.parametrize("n, pad", [(2408, 1), (4096, 1), (10_187, 1), (10_187, 8), (81_496, 1)])
+def test_full_band_direct_lengths_are_the_rfft(rng, n, pad):
+    series = _series(rng.standard_normal(n))
+    spectrum._bluestein_plan.cache_clear()
+    result = fourier_spectrum(series, zero_pad_factor=pad)
+    assert spectrum._bluestein_plan.cache_info().currsize == 0
+    full = np.abs(np.fft.rfft(series.values - series.values.mean(), n=n * pad))
+    assert result.magnitude.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("omega_max", [None, 3.0], ids=["full_band", "band"])
+def test_a_kept_plan_gives_the_bytes_of_a_new_one(omega_max):
+    t = 0.05 * np.arange(10_798)
+    series = _series(np.exp(-0.01 * t) * (np.cos(0.85 * t) + 0.5 * np.cos(1.18 * t)))
+    spectrum._bluestein_plan.cache_clear()
+    new = fourier_spectrum(series, zero_pad_factor=8, omega_max=omega_max)
+    kept = fourier_spectrum(series, zero_pad_factor=8, omega_max=omega_max)
+    info = spectrum._bluestein_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert kept.magnitude.tobytes() == new.magnitude.tobytes()
+    m = new.omega.size
+    for array in spectrum._bluestein_plan(10_798, 8 * 10_798, m):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def test_a_band_at_or_past_nyquist_is_the_full_rfft(rng):
