@@ -14,7 +14,7 @@ class UnknownKeyError(EffbathError, ValueError):
 
 
 class NonPositiveError(EffbathError, ValueError):
-    """A parameter, step, horizon, grid end, point count or pad factor is not positive and finite."""
+    """A parameter, step, horizon, step count, grid end, point count or pad factor is not positive and finite."""
 
 
 class NegativeRateError(EffbathError, ValueError):

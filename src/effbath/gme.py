@@ -92,7 +92,8 @@ def time_grid(
 
     Defaults to ``default_step`` and a horizon of 100/Omega; the horizon
     is rounded to a whole number of steps, at least one.  A step or
-    horizon that is not positive and finite raises NonPositiveError.
+    horizon that is not positive and finite, or a step count past the
+    float range, raises NonPositiveError.
     """
     if step is None:
         step = default_step(p, scales)
@@ -101,7 +102,10 @@ def time_grid(
     for name, value in (("step", step), ("horizon", horizon)):
         if not 0.0 < value < math.inf:
             raise NonPositiveError(f"{name} must be positive and finite, got {value}")
-    return step, max(int(round(horizon / step)), 1)
+    count = horizon / step
+    if count == math.inf:
+        raise NonPositiveError(f"horizon {horizon:g} over step {step:g} is not a finite step count")
+    return step, max(int(round(count)), 1)
 
 
 def niba_kernels(corr: CorrelationFn, delta: float, epsilon: float, h: float, n_steps: int) -> KernelGrid:

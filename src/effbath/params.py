@@ -39,7 +39,7 @@ class SystemParams:
     ----------
     Omega : oscillator angular frequency (frequency unit)
     M : oscillator mass
-    mu : qubit-coordinate effective mass (enters only the damping kernel)
+    mu : qubit-coordinate effective mass (no formula reads it; it is only printed in the summary)
     alpha : scaled quartic nonlinearity, alpha = alphabar*y0**4/4
     g : scaled qubit-oscillator coupling, hbar*g = gbar*q0*y0/(2*sqrt(2))
     gamma : Ohmic damping rate of the oscillator, gamma = eta/M

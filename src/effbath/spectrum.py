@@ -17,10 +17,6 @@ _MIN_SAMPLES = 64
 _MIN_REL_HEIGHT = 1e-6
 # a band that leaves more of the trace's Hann-weighted energy outside misses a line
 _MAX_OUT_OF_BAND = 1e-3
-# a full-band length with a prime factor past this goes through _chirp_z;
-# numpy's pocketfft runs most such lengths by its own Bluestein, whose plan
-# it rebuilds on every call (fourier_spectrum gives the measured crossover)
-_MAX_DIRECT_PRIME = 300
 # Bluestein plans kept: a sweep uses one key, a pass over the figure tags two
 _PLANS = 8
 
@@ -94,23 +90,13 @@ def _chirp_z(x: np.ndarray, n_pad: int, m: int) -> np.ndarray:
     the transform's plan (Frigo & Johnson, Proc. IEEE 93 (2005) 216), built
     once per key and kept read-only in a small cache, so a hit returns the
     same bytes as a miss.  A call on a kept plan costs two FFTs of that
-    length.  ``fourier_spectrum`` sends every band short of Nyquist here,
-    and every full band whose padded length has a prime factor past 300;
-    its docstring gives the crossover against ``np.fft.rfft``, on a new
-    and on a kept plan.
+    length.  It is the one transform of ``fourier_spectrum``, for a band
+    and for the full band (m = n_pad//2 + 1) alike.
     """
     n = x.shape[0]
     chirp, kernel = _bluestein_plan(n, n_pad, m)
     product = np.fft.fft(x * chirp[:n], kernel.shape[0]) * kernel
     return chirp[:m] * np.fft.ifft(product)[:m]
-
-
-def _needs_bluestein(n: int) -> bool:
-    """Whether ``n`` has a prime factor past ``_MAX_DIRECT_PRIME``."""
-    for p in range(2, _MAX_DIRECT_PRIME + 1):
-        while n % p == 0:
-            n //= p
-    return n > 1
 
 
 def _out_of_band(x: np.ndarray, bins: np.ndarray, pad: int) -> float:
@@ -145,47 +131,23 @@ def fourier_spectrum(
 
     The grid is that of the n*zero_pad_factor-point real FFT,
     2*pi*rfftfreq(n_pad, h).  ``omega_max`` keeps only its bins with
-    omega <= omega_max; it must be positive and finite.  The path follows
-    the band and the length:
+    omega <= omega_max; it must be positive and finite.  With
+    ``omega_max`` None, or at or past the last bin (Nyquist), all
+    n_pad//2 + 1 bins are kept.  The kept bins come from the chirp-z
+    transform (``_chirp_z``; Rabiner, Schafer & Rader, IEEE Trans. Audio
+    Electroacoust. 17 (1969) 86), which costs FFTs of the least 5-smooth
+    length >= n + m - 1 for m bins, instead of one of the padded length.
+    A band short of Nyquist that leaves more than 1e-3 of the trace's
+    Hann-weighted energy outside it misses a line, or cuts one at its
+    edge, and raises BandTooNarrowError rather than return the bins.
 
-    - Below the last bin (Nyquist), the kept bins come from a chirp-z
-      transform (``_chirp_z``; Rabiner, Schafer & Rader, IEEE Trans.
-      Audio Electroacoust. 17 (1969) 86), which costs FFTs of the least
-      5-smooth length >= n + m - 1 for m bins, instead of one of the
-      padded length.  A band that leaves more than 1e-3 of the trace's
-      Hann-weighted energy outside it misses a line, or cuts one at its
-      edge, and raises BandTooNarrowError rather than return the bins.
-    - With ``omega_max`` None, or at or past Nyquist, the spectrum runs
-      to Nyquist.  It is ``np.fft.rfft`` unless n_pad has a prime factor
-      past 300; numpy's pocketfft runs most such lengths by its own
-      Bluestein and rebuilds that plan on every call, so they go through
-      ``_chirp_z`` over all n_pad//2 + 1 bins, whose plan is kept.
-
-    Either way the omega column is the full grid's (or its head) exactly,
-    and a chirp-z magnitude agrees with ``np.fft.rfft``'s within 1e-14 of
-    the largest (measured: 1.3e-15 at most).
-
-    The crossover over the full band, in ms per call, best of 7 (Intel
-    Xeon, 2 vCPUs, numpy 2.4.6); p is the largest prime factor of n, "new"
-    and "kept" are ``_chirp_z`` building its plan and finding it kept:
-
-        n       p       pad  rfft        new        kept       routed
-        10,187  167     1    0.27        1.06       0.42       no
-        10,187  167     8    2.1         3.6        1.6        no
-        ~10k    257-293 1    0.31-0.34   0.96-1.05  0.42-0.45  no
-        ~10k    257-293 8    2.5-3.2     6.2-7.0    2.7-2.8    no
-        ~10k    307     1    0.36-0.42   1.7-1.8    0.52-0.63  yes
-        ~10k    307     8    3.2-4.3     6.3-7.5    2.7-3.2    yes
-        ~10k    373-499 1    0.52-1.5    0.94-1.8   0.42-0.74  yes
-        ~10k    373-499 8    3.5-23      3.6-6.8    1.6-2.7    yes
-        10,798  5,399   1    0.83-0.90   1.05-1.11  0.46-0.49  yes
-        10,798  5,399   8    14.2-14.7   4.3-4.8    1.9-2.0    yes
-        12,007  12,007  1    1.0         1.3        0.59       yes
-
-    Past p of about 300 a kept plan beats ``np.fft.rfft`` at pad 8, and
-    past about 370 at pad 1 too.  Up to 300 pocketfft runs the length
-    directly: ``np.fft.rfft`` beats a new plan and is within reach of a
-    kept one.
+    The omega column is the full grid's (or its head) exactly, and the
+    magnitudes agree with ``np.fft.rfft``'s within 1e-14 of the largest
+    (measured: 1.2e-15 at most).  Over the full band a kept plan costs
+    more than ``np.fft.rfft`` at a length pocketfft runs directly, and less
+    at one it runs by its own Bluestein (best of 7, 2-vCPU Xeon, numpy
+    2.4.6: n = 10,800 at pad 8, 2.0-2.4 against 0.8-1.2 ms; n = 10,798 at
+    pad 8, 1.7-2.7 against 14-17 ms).
     """
     n = series.values.shape[0]
     if n < _MIN_SAMPLES:
@@ -198,22 +160,17 @@ def fourier_spectrum(
     n_pad = n * int(zero_pad_factor)
     omega = 2.0 * np.pi * np.fft.rfftfreq(n_pad, d=series.h)
     m = omega.shape[0] if omega_max is None else int(np.count_nonzero(omega <= omega_max))
-    if m == omega.shape[0]:
-        routed = _needs_bluestein(n_pad)
-        magnitude = np.abs(_chirp_z(processed, n_pad, m) if routed else np.fft.rfft(processed, n=n_pad))
-    else:
-        omega = omega[:m]
-        bins = _chirp_z(processed, n_pad, m)
+    bins = _chirp_z(processed, n_pad, m)
+    if m < omega.shape[0]:
         outside = _out_of_band(processed, bins, int(zero_pad_factor))
         if outside > _MAX_OUT_OF_BAND:
             raise BandTooNarrowError(
                 f"omega_max = {omega_max:g} leaves {outside:.2g} of the trace's energy outside the band;"
                 " a line lies beyond it, so raise omega_max"
             )
-        magnitude = np.abs(bins)
     return SpectrumResult(
-        omega=omega,
-        magnitude=magnitude,
+        omega=omega[:m],
+        magnitude=np.abs(bins),
         resolution=2.0 * np.pi / (n * series.h),
     )
 

@@ -398,13 +398,13 @@ def resonance_analysis(p: SystemParams, scales: DerivedScales | None = None) -> 
         scales = derived_scales(p)
     coeffs = wda_coefficients(p, scales)
     tun = effective_tunneling(coeffs, scales, p.Delta, p.beta)
-    om, om1, g, alpha = p.Omega, scales.Omega1, p.g, p.alpha
+    om, om1, alpha = p.Omega, scales.Omega1, p.alpha
 
     branch = expansion_branch(p)
     if branch == "nonlinearity-dominated":
         omega_plus_exp, omega_minus_exp = om, om1
     else:
-        split = g * (1.0 - 1.5 * alpha / om)
+        split = 0.5 * bloch_siegert_shift(p)
         omega_plus_exp = om + 1.5 * alpha - split
         omega_minus_exp = om + 1.5 * alpha + split
 

@@ -144,28 +144,22 @@ def test_band_transform_matches_the_full_fft(rng, n, pad, window):
     assert np.abs(band.magnitude - full).max() <= 1e-14 * full.max()
 
 
-# n_pad = 10,798 = 2 * 5399, 86,384 = 16 * 5399, 81,440 = 32 * 5 * 509 and
-# the prime 12,007: numpy would run each by its own Bluestein
-@pytest.mark.parametrize("n, pad", [(10_798, 1), (10_798, 8), (10_180, 8), (81_440, 1), (12_007, 1)])
+# numpy runs n_pad = 10,798 = 2 * 5399, 86,384 = 16 * 5399, 81,440 =
+# 32 * 5 * 509 and the prime 12,007 by its own Bluestein, and the others
+# (largest prime factors 43, 2, 167 and 167) directly; the chirp-z plan
+# serves every one
+@pytest.mark.parametrize("n, pad", [
+    (10_798, 1), (10_798, 8), (10_180, 8), (81_440, 1), (12_007, 1),
+    (2408, 1), (4096, 1), (10_187, 1), (10_187, 8), (81_496, 1),
+])
 def test_full_band_routed_lengths_match_the_rfft(rng, n, pad):
     series = _series(rng.standard_normal(n))
     spectrum._bluestein_plan.cache_clear()
     result = fourier_spectrum(series, zero_pad_factor=pad)
-    assert spectrum._bluestein_plan.cache_info().currsize == 1  # the chirp-z path, not the rfft one
-    np.testing.assert_array_equal(result.omega, 2.0 * np.pi * np.fft.rfftfreq(n * pad, d=0.05))
+    assert spectrum._bluestein_plan.cache_info().currsize == 1
+    assert result.omega.tobytes() == (2.0 * np.pi * np.fft.rfftfreq(n * pad, d=0.05)).tobytes()
     full = np.abs(np.fft.rfft(series.values - series.values.mean(), n=n * pad))
     assert np.abs(result.magnitude - full).max() <= 1e-14 * full.max()
-
-
-# largest prime factors 43, 2, 167 and 167: numpy runs these directly
-@pytest.mark.parametrize("n, pad", [(2408, 1), (4096, 1), (10_187, 1), (10_187, 8), (81_496, 1)])
-def test_full_band_direct_lengths_are_the_rfft(rng, n, pad):
-    series = _series(rng.standard_normal(n))
-    spectrum._bluestein_plan.cache_clear()
-    result = fourier_spectrum(series, zero_pad_factor=pad)
-    assert spectrum._bluestein_plan.cache_info().currsize == 0
-    full = np.abs(np.fft.rfft(series.values - series.values.mean(), n=n * pad))
-    assert result.magnitude.tobytes() == full.tobytes()
 
 
 @pytest.mark.parametrize("omega_max", [None, 3.0], ids=["full_band", "band"])
