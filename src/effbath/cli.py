@@ -79,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--pad", type=int, default=1)
     sub.add_argument("--peaks", type=int, default=0, help="also report the top-k peaks")
     sub.add_argument("--omega-max", type=float, default=SPECTRUM_BAND,
-                     help="band end, in the angular-frequency units of the t column")
+                     help="least band end, in the angular-frequency units of the t column;"
+                     " widened by doubling until the band holds the trace")
 
     sub = commands.add_parser("figure", help="regenerate one figure's data bundle")
     sub.add_argument("tag", choices=sorted(FIGURE_PARAMS))

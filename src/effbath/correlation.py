@@ -166,9 +166,10 @@ def correlation_quadrature(
 
     eps = atol / (4 + 3 * len(edges))
     # the evaluator's G carries a memo of the smooth pieces int_lo^hi f*coth;
-    # QUADPACK is deterministic, so a hit returns the bits, and the warnings,
-    # that integrating the piece again would.  A piece from 2*pi/tau serves
-    # this tau alone and is not kept
+    # QUADPACK is deterministic, so a hit returns the bits that integrating
+    # the piece again would.  A piece that warned is not kept: integrated
+    # again for each tau, it gives the same bits and the same warnings.  A
+    # piece from 2*pi/tau serves this tau alone and is not kept either
     memo = getattr(geff_fn, "smooth_pieces", {})
 
     def piece(fn, a, b, **weight):
@@ -177,18 +178,16 @@ def correlation_quadrature(
     # QUADPACK's warnings are caught once per tau, not per node or per piece
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IntegrationWarning)
-        replayed = []
         s_val, total_err = piece(s_integrand, 0.0, a0)
         for lo, hi in zip(edges[:-1], edges[1:]):
             key = (beta, lo, hi, eps)
             if key in memo:
-                smooth, err1, stored = memo[key]
-                replayed += stored
+                smooth, err1 = memo[key]
             else:
                 start = len(caught)
                 smooth, err1 = piece(f_coth, lo, hi)
-                if lo != period:
-                    memo[key] = (smooth, err1, caught[start:])
+                if lo != period and len(caught) == start:
+                    memo[key] = (smooth, err1)
             osc, err2 = piece(f_coth, lo, hi, weight="cos", wvar=tau)
             s_val += smooth - osc
             total_err += err1 + err2
@@ -200,16 +199,15 @@ def correlation_quadrature(
             r_val += value
             total_err += err
 
-    raised = caught + replayed
     if total_err > atol:
-        quadpack = dict.fromkeys(" ".join(str(w.message).split()) for w in raised
+        quadpack = dict.fromkeys(" ".join(str(w.message).split()) for w in caught
                                  if issubclass(w.category, IntegrationWarning))
         raise QuadratureNonConvergence(
             f"correlation quadrature at tau = {tau:g} reached abs error {total_err:.3e} > atol {atol:.3e}"
             + "".join(f"; QUADPACK: {text}" for text in quadpack),
             achieved=total_err,
         )
-    for w in raised:
+    for w in caught:
         warnings.warn(w.message, stacklevel=2)
     return s_val, r_val
 
@@ -262,8 +260,9 @@ def quadrature_correlation(p: SystemParams, scales: DerivedScales, atol: float =
 
     Each tau is integrated once; S and R come out of the same call, in the
     shape of tau.  The smooth pieces int G/w^2*coth(beta*w/2) between the
-    knots do not depend on tau: each is integrated once per evaluator and
-    reused, with the same bits, by every later tau with the same knots.
+    knots do not depend on tau: each that QUADPACK integrates without a
+    warning is integrated once per evaluator and reused, with the same
+    bits, by every later tau with the same knots.
     gamma = 0, where G(omega) is a line, raises ZeroDampingError.
     """
     if scales.gammabar == 0.0:

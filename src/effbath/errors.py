@@ -68,10 +68,6 @@ class NonUniformGridError(EffbathError, ValueError):
     """Time samples are not evenly spaced, so no single step describes them."""
 
 
-class BandTooNarrowError(EffbathError, ValueError):
-    """A band-limited spectrum leaves part of the trace's lines outside its band."""
-
-
 class NoPeaksError(EffbathError, ValueError):
     """No local maxima found in a magnitude spectrum."""
 

@@ -28,7 +28,6 @@ from .errors import NonFiniteStateError, NonPositiveError, StepTooLargeError
 from .params import DerivedScales, SystemParams, derived_scales
 
 __all__ = [
-    "KernelGrid",
     "TimeSeries",
     "fastest_frequency",
     "default_step",
@@ -42,15 +41,6 @@ __all__ = [
 _DEFAULT_POINTS_PER_PERIOD = 640
 _MIN_POINTS_PER_PERIOD = 40
 _DEFAULT_HORIZON_PERIODS = 100.0  # horizon in units of 1/Omega
-
-
-@dataclass(frozen=True)
-class KernelGrid:
-    """Symmetric/antisymmetric kernels sampled on a uniform time grid."""
-
-    h: float
-    ks: np.ndarray
-    ka: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -108,19 +98,21 @@ def time_grid(
     return step, max(int(round(count)), 1)
 
 
-def niba_kernels(corr: CorrelationFn, delta: float, epsilon: float, h: float, n_steps: int) -> KernelGrid:
-    """Sample the kernels on t_n = n*h, n = 0..n_steps."""
+def niba_kernels(
+    corr: CorrelationFn, delta: float, epsilon: float, h: float, n_steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kernels (Ks, Ka) sampled on t_n = n*h, n = 0..n_steps."""
     t = h * np.arange(n_steps + 1)
     s_val, r_val = corr.pair(t)
     envelope = delta**2 * np.exp(-s_val)
     ks = envelope * np.cos(r_val)
     if epsilon == 0.0:  # cos(0) = 1 would leave every bit of ks as it is, and Ka vanishes
-        return KernelGrid(h=h, ks=ks, ka=np.zeros(n_steps + 1))
-    return KernelGrid(h=h, ks=ks * np.cos(epsilon * t), ka=envelope * np.sin(r_val) * np.sin(epsilon * t))
+        return ks, np.zeros(n_steps + 1)
+    return ks * np.cos(epsilon * t), envelope * np.sin(r_val) * np.sin(epsilon * t)
 
 
-def solve_gme(kernels: KernelGrid) -> TimeSeries:
-    """March P(t) over the full kernel grid.
+def solve_gme(h: float, ks: np.ndarray, ka: np.ndarray) -> TimeSeries:
+    """March P(t) over the kernels Ks and Ka sampled at t_n = n*h, n = 0..N.
 
     Product-integration trapezoid for the convolution combined with an
     implicit-trapezoid update, one fixed-point correction per step; global
@@ -129,14 +121,13 @@ def solve_gme(kernels: KernelGrid) -> TimeSeries:
     steps cost O(N log^2 N) and no step runs in the interpreter.
     Raises NonFiniteStateError if the trace diverges.
     """
-    n_steps = kernels.ks.shape[0] - 1
-    ka = kernels.ka
+    n_steps = ks.shape[0] - 1
     # running trapezoid integral of Ka from t = 0, summed as scipy's cumulative_trapezoid does
-    ka_int = np.concatenate(([0.0], np.cumsum(kernels.h * (ka[1:] + ka[:-1]) / 2.0)))
-    p, bad = accel.march(kernels.h, kernels.ks, ka_int, n_steps)
+    ka_int = np.concatenate(([0.0], np.cumsum(h * (ka[1:] + ka[:-1]) / 2.0)))
+    p, bad = accel.march(h, ks, ka_int, n_steps)
     if bad != -1:
         raise NonFiniteStateError(f"population trace left the finite range at step {bad}")
-    return TimeSeries(h=kernels.h, values=p)
+    return TimeSeries(h=h, values=p)
 
 
 def simulate_population(
@@ -170,5 +161,5 @@ def simulate_population(
     else:
         raise ValueError(f"unknown correlation evaluator {correlation!r}")
 
-    kernels = niba_kernels(corr, p.Delta, p.epsilon, step, n_steps)
-    return solve_gme(kernels)
+    ks, ka = niba_kernels(corr, p.Delta, p.epsilon, step, n_steps)
+    return solve_gme(step, ks, ka)

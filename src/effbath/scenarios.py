@@ -16,7 +16,7 @@ import numpy as np
 
 from .correlation import closed_form_correlation, quadrature_correlation, wda_coefficients, wda_split
 from .errors import NonPositiveError, ZeroDampingError
-from .gme import TimeSeries, fastest_frequency, simulate_population
+from .gme import TimeSeries, simulate_population
 from .params import SystemParams, convert_couplings, derived_scales, regime_flags
 from .spectral import (
     density_peak,
@@ -70,7 +70,7 @@ FIGURE_PARAMS = {
 # every spectrum is zero padded 8x and summarized by its two tallest peaks
 _PAD_FACTOR = 8
 _N_PEAKS = 2
-# spectra end at omega <= SPECTRUM_BAND*Omega, or at twice the fastest line if that lies higher
+# spectra end at omega <= SPECTRUM_BAND*Omega, or further if fourier_spectrum widens the band to hold a line
 SPECTRUM_BAND = 3.0
 
 # what the bundle of each population tag holds: (P traces, spectra)
@@ -238,11 +238,13 @@ def run_scenario(tag: str, params: SystemParams) -> dict:
     ``_{label}`` suffix and whose summary keys a ``{label}_`` prefix.
     ``_CONTENTS`` says whether a tag holds P traces, spectra or both; only
     a run without twins holds the WDA spectrum.  Every spectrum, kept or
-    only picked for its peak keys, ends at omega <= 3*Omega, or at
-    twice the fastest of Omega1, Delta and |epsilon| if that lies higher;
-    for the figure sets that is 3*Omega.  An unknown tag raises
-    ValueError before anything is computed, and so does "custom" at
-    gamma = 0, whose spectral table it cannot hold (ZeroDampingError).
+    only picked for its peak keys, asks for the band omega <= 3*Omega;
+    ``fourier_spectrum`` widens a band that leaves a line outside, so a
+    run whose lines lie higher (a large Delta, or the multi-phonon lines
+    of a strong g) ends further out.  The figure sets end at 3*Omega.
+    An unknown tag raises ValueError before anything is computed, and so
+    does "custom" at gamma = 0, whose spectral table it cannot hold
+    (ZeroDampingError).
     """
     if tag != "fig2" and tag not in _CONTENTS:
         raise ValueError(f"unknown scenario tag {tag!r}; expected one of {sorted([*_CONTENTS, 'fig2'])}")
@@ -269,7 +271,7 @@ def run_scenario(tag: str, params: SystemParams) -> dict:
             if traces:
                 for kind, trace in (("niba", series), ("wda", analytic)):
                     bundle[f"P_{kind}{suffix}.csv"] = (["t", "P"], [trace.times, trace.values])
-            band = max(SPECTRUM_BAND * prm.Omega, 2.0 * fastest_frequency(prm, derived_scales(prm)))
+            band = SPECTRUM_BAND * prm.Omega
             result = fourier_spectrum(series, zero_pad_factor=_PAD_FACTOR, omega_max=band)
             if spectra:
                 kinds = [("niba", result)]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandTooNarrowError, NonPositiveError, NoPeaksError, TooShortError
+from .errors import NonPositiveError, NoPeaksError, TooShortError
 from .gme import TimeSeries
 
 __all__ = ["SpectrumResult", "Peak", "fourier_spectrum", "peak_extract"]
@@ -130,16 +130,18 @@ def fourier_spectrum(
     traces decay well inside the horizon.
 
     The grid is that of the n*zero_pad_factor-point real FFT,
-    2*pi*rfftfreq(n_pad, h).  ``omega_max`` keeps only its bins with
-    omega <= omega_max; it must be positive and finite.  With
-    ``omega_max`` None, or at or past the last bin (Nyquist), all
-    n_pad//2 + 1 bins are kept.  The kept bins come from the chirp-z
-    transform (``_chirp_z``; Rabiner, Schafer & Rader, IEEE Trans. Audio
-    Electroacoust. 17 (1969) 86), which costs FFTs of the least 5-smooth
-    length >= n + m - 1 for m bins, instead of one of the padded length.
-    A band short of Nyquist that leaves more than 1e-3 of the trace's
-    Hann-weighted energy outside it misses a line, or cuts one at its
-    edge, and raises BandTooNarrowError rather than return the bins.
+    2*pi*rfftfreq(n_pad, h), and the spectrum keeps a head of it: all
+    n_pad//2 + 1 bins with ``omega_max`` None, else at least the bins
+    with omega <= omega_max, which must be positive and finite.  The kept
+    bins come from the chirp-z transform (``_chirp_z``; Rabiner, Schafer &
+    Rader, IEEE Trans. Audio Electroacoust. 17 (1969) 86), which costs
+    FFTs of the least 5-smooth length >= n + m - 1 for m bins, instead of
+    one of the padded length.  A band short of Nyquist that leaves more
+    than 1e-3 of the trace's Hann-weighted energy outside it misses a
+    line, or cuts one at its edge; it is doubled in bins, up to the full
+    band, and transformed again until it holds all but that 1e-3.  So
+    ``omega_max`` is the least band end, and a band that holds the trace
+    at once (every figure band at 3*Omega) costs one transform.
 
     The omega column is the full grid's (or its head) exactly, and the
     magnitudes agree with ``np.fft.rfft``'s within 1e-14 of the largest
@@ -161,13 +163,9 @@ def fourier_spectrum(
     omega = 2.0 * np.pi * np.fft.rfftfreq(n_pad, d=series.h)
     m = omega.shape[0] if omega_max is None else int(np.count_nonzero(omega <= omega_max))
     bins = _chirp_z(processed, n_pad, m)
-    if m < omega.shape[0]:
-        outside = _out_of_band(processed, bins, int(zero_pad_factor))
-        if outside > _MAX_OUT_OF_BAND:
-            raise BandTooNarrowError(
-                f"omega_max = {omega_max:g} leaves {outside:.2g} of the trace's energy outside the band;"
-                " a line lies beyond it, so raise omega_max"
-            )
+    while m < omega.shape[0] and _out_of_band(processed, bins, int(zero_pad_factor)) > _MAX_OUT_OF_BAND:
+        m = min(2 * m, omega.shape[0])
+        bins = _chirp_z(processed, n_pad, m)
     return SpectrumResult(
         omega=omega[:m],
         magnitude=np.abs(bins),

@@ -44,3 +44,17 @@ def fig3_series(fig3_params):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260810)
+
+
+def _energy_outside(processed, n_pad, m):
+    """Fraction of the periodic-Hann-weighted trace's energy past the first m bins of its n_pad-point DFT."""
+    n = processed.shape[0]
+    weighted = processed * (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n))
+    power = np.abs(np.fft.rfft(weighted, n_pad)[:m]) ** 2
+    return 1.0 - (2.0 * power.sum() - power[0]) / (n_pad * float(weighted @ weighted))
+
+
+@pytest.fixture(scope="session")
+def energy_outside():
+    """Parseval's energy check of a band, from numpy's FFT rather than the library's."""
+    return _energy_outside

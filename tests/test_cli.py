@@ -462,13 +462,10 @@ def test_spectrum_of_a_too_short_trace_is_a_usage_error(tmp_path, capsys, rows):
     ("cosine", ["--pad", "0"], "zero_pad_factor"),
     ("cosine", ["--pad", "-3"], "zero_pad_factor"),
     ("cosine", ["--peaks", "-1"], "--peaks"),
-    ("line_at_3.1", ["--peaks", "2"], "omega_max = 3 "),
-], ids=["nan", "nan_peaks_2", "no_peaks", "pad_0", "pad_-3", "peaks_-1", "line_past_the_band"])
+], ids=["nan", "nan_peaks_2", "no_peaks", "pad_0", "pad_-3", "peaks_-1"])
 def test_spectrum_rejects_bad_input_before_writing(tmp_path, capsys, trace, argv, message):
     t = np.arange(101.0)
     values = np.full(t.size, 0.5) if trace == "constant" else np.cos(0.3 * t)
-    if trace == "line_at_3.1":  # past the default band omega <= 3, below Nyquist pi
-        values += np.cos(3.1 * t)
     if trace == "nan_in_row_2":
         values[1] = np.nan
     path = tmp_path / "trace.csv"
@@ -477,6 +474,34 @@ def test_spectrum_rejects_bad_input_before_writing(tmp_path, capsys, trace, argv
     err = capsys.readouterr().err
     assert err.startswith("effbath: error: ") and message in err
     assert not (tmp_path / "out").exists()
+
+
+def test_spectrum_widens_its_band_to_a_line_past_it(tmp_path):
+    t = np.arange(101.0)
+    path = tmp_path / "trace.csv"
+    write_csv(path, ["t", "P"], [t, np.cos(0.3 * t) + np.cos(3.1 * t)])  # 3.1 lies past the default band omega <= 3
+    assert main(["spectrum", str(path), "--out", str(tmp_path / "out")]) == 0
+    data = read_csv(tmp_path / "out" / "spectrum.csv")
+    assert data["omega"][-1] > 3.1
+    # the line sits in the last bins below Nyquist, as tall as the one at 0.3
+    past = data["omega"] > 3.0
+    assert abs(data["omega"][past][np.argmax(data["magnitude"][past])] - 3.1) <= 2.0 * np.pi / 101
+    assert data["magnitude"][past].max() > 0.9 * data["magnitude"][data["omega"] < 1.0].max()
+
+
+@pytest.mark.filterwarnings("ignore::effbath.errors.RegimeWarning")  # |u0| = 2.9: the WDA is out of its regime
+def test_custom_widens_a_band_that_misses_a_multi_phonon_line(tmp_path, energy_outside):
+    # at g = 0.87*Omega the NIBA trace holds multi-phonon lines, one near 1.93, past 3*Omega = 1.893
+    cfg = tmp_path / "strong.cfg"
+    cfg.write_text("Omega=0.631\nalpha=1.2e-6\ng=0.546\ngamma=0.00157\nbeta=0.7\nDelta=0.841\nepsilon=0\n")
+    out = tmp_path / "out"
+    assert main(["custom", "--config", str(cfg), "--out", str(out)]) == 0
+    for kind in ("niba", "wda"):
+        trace = read_csv(out / f"P_{kind}.csv")["P"]
+        omega = read_csv(out / f"spectrum_{kind}.csv")["omega"]
+        assert energy_outside(trace - trace.mean(), 8 * trace.size, omega.size) <= 1e-3, kind
+    # the WDA trace holds only its two poles, inside 3*Omega; the NIBA band had to grow
+    assert read_csv(out / "spectrum_niba.csv")["omega"][-1] > 3.0 * 0.631
 
 
 @pytest.mark.parametrize("header", ["time,P", "t,p", "P"])

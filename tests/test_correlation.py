@@ -228,6 +228,20 @@ def test_quadpack_warnings_join_the_error_or_are_issued_again():
         correlation_quadrature(1.0, rough, 10.0, atol=10.0)
 
 
+def test_a_smooth_piece_that_warned_is_integrated_again():
+    # of the two smooth pieces past the knots, QUADPACK warns on one: the memo
+    # keeps only the other, and a second tau warns again with the same bits
+    def steep(w):
+        return w**3 * math.sin(1e5 * w)
+
+    steep.smooth_pieces = {}
+    results = []
+    for _ in range(2):
+        with pytest.warns(IntegrationWarning, match="probably divergent"):
+            results.append(correlation_quadrature(1.0, steep, 10.0, atol=1e6, peak=5.0, peak_width=0.1))
+    assert results[0] == results[1] and len(steep.smooth_pieces) == 1
+
+
 def test_every_evaluator_returns_the_shape_of_tau(fig3_params, fig3_scales):
     undamped = build_params(FIG3_UNDAMPED)
     grid = np.array([[0.0, 0.5], [1.5, 3.0]])

@@ -9,7 +9,6 @@ from effbath import accel
 from effbath.correlation import closed_form_correlation
 from effbath.errors import NonFiniteStateError, StepTooLargeError
 from effbath.gme import (
-    KernelGrid,
     default_step,
     niba_kernels,
     simulate_population,
@@ -39,8 +38,8 @@ def _reference_march(h, ks, ka_int, n_steps):
 def _march_inputs(params, n_steps):
     scales = derived_scales(params)
     h = default_step(params, scales)
-    grid = niba_kernels(closed_form_correlation(params, scales), params.Delta, params.epsilon, h, n_steps)
-    return h, grid.ks, cumulative_trapezoid(grid.ka, dx=h, initial=0.0), n_steps
+    ks, ka = niba_kernels(closed_form_correlation(params, scales), params.Delta, params.epsilon, h, n_steps)
+    return h, ks, cumulative_trapezoid(ka, dx=h, initial=0.0), n_steps
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.1], ids=["fig3", "biased"])
@@ -48,7 +47,7 @@ def test_ka_integral_is_bit_equal_to_scipy(monkeypatch, epsilon):
     params = build_params({**FIGURE_PARAMS["fig3"], "epsilon": epsilon})
     scales = derived_scales(params)
     h, n_steps = time_grid(params, scales)
-    grid = niba_kernels(closed_form_correlation(params, scales), params.Delta, params.epsilon, h, n_steps)
+    ks, ka = niba_kernels(closed_form_correlation(params, scales), params.Delta, params.epsilon, h, n_steps)
     seen = []
 
     def capture(step, ks, ka_int, n):
@@ -56,50 +55,50 @@ def test_ka_integral_is_bit_equal_to_scipy(monkeypatch, epsilon):
         return np.ones(n + 1), -1
 
     monkeypatch.setattr(accel, "march", capture)
-    solve_gme(grid)
-    assert seen[0].tobytes() == cumulative_trapezoid(grid.ka, dx=h, initial=0.0).tobytes()
+    solve_gme(h, ks, ka)
+    assert seen[0].tobytes() == cumulative_trapezoid(ka, dx=h, initial=0.0).tobytes()
 
 
 def test_kernels_decoupled_limit(free_params):
     scales = derived_scales(free_params)
     corr = closed_form_correlation(free_params, scales)
-    grid = niba_kernels(corr, free_params.Delta, 0.0, 0.05, 200)
-    np.testing.assert_array_equal(grid.ks, free_params.Delta**2)
-    np.testing.assert_array_equal(grid.ka, 0.0)
+    ks, ka = niba_kernels(corr, free_params.Delta, 0.0, 0.05, 200)
+    np.testing.assert_array_equal(ks, free_params.Delta**2)
+    np.testing.assert_array_equal(ka, 0.0)
 
 
 def test_kernels_initial_values(fig3_params, fig3_scales):
     corr = closed_form_correlation(fig3_params, fig3_scales)
-    grid = niba_kernels(corr, fig3_params.Delta, 0.0, 0.02, 500)
-    assert grid.ks[0] == pytest.approx(fig3_params.Delta**2, rel=1e-14)
-    assert grid.ka[0] == 0.0
-    np.testing.assert_array_equal(grid.ka, 0.0)  # symmetric case
+    ks, ka = niba_kernels(corr, fig3_params.Delta, 0.0, 0.02, 500)
+    assert ks[0] == pytest.approx(fig3_params.Delta**2, rel=1e-14)
+    assert ka[0] == 0.0
+    np.testing.assert_array_equal(ka, 0.0)  # symmetric case
 
 
 def test_unbiased_kernels_keep_the_bits_of_the_bias_factors(fig3_params, fig3_scales):
     # at epsilon = 0 the kernels skip cos(epsilon*t) and sin(epsilon*t), bit for bit
     corr = closed_form_correlation(fig3_params, fig3_scales)
     h, n_steps = time_grid(fig3_params, fig3_scales)
-    grid = niba_kernels(corr, fig3_params.Delta, 0.0, h, n_steps)
+    ks, ka = niba_kernels(corr, fig3_params.Delta, 0.0, h, n_steps)
     t = h * np.arange(n_steps + 1)
     s_val, r_val = corr.pair(t)
     envelope = fig3_params.Delta**2 * np.exp(-s_val)
-    assert grid.ks.tobytes() == (envelope * np.cos(r_val) * np.cos(0.0 * t)).tobytes()
-    assert grid.ka.tobytes() == np.zeros(n_steps + 1).tobytes()  # +0.0 everywhere
+    assert ks.tobytes() == (envelope * np.cos(r_val) * np.cos(0.0 * t)).tobytes()
+    assert ka.tobytes() == np.zeros(n_steps + 1).tobytes()  # +0.0 everywhere
 
 
 def test_kernels_envelope_bound(fig3_params, fig3_scales):
     corr = closed_form_correlation(fig3_params, fig3_scales)
-    grid = niba_kernels(corr, fig3_params.Delta, 0.0, 0.02, 2000)
+    ks, ka = niba_kernels(corr, fig3_params.Delta, 0.0, 0.02, 2000)
     envelope = fig3_params.Delta**2 * np.exp(-np.asarray(corr.S(0.02 * np.arange(2001))))
-    assert np.all(np.abs(grid.ks) <= envelope * (1 + 1e-12))
+    assert np.all(np.abs(ks) <= envelope * (1 + 1e-12))
 
 
 def test_biased_kernels_antisymmetric_factor(fig3_params, fig3_scales):
     corr = closed_form_correlation(fig3_params, fig3_scales)
-    grid = niba_kernels(corr, fig3_params.Delta, 0.3, 0.02, 400)
-    assert grid.ka[0] == 0.0
-    assert np.abs(grid.ka[1:]).max() > 0.0
+    ks, ka = niba_kernels(corr, fig3_params.Delta, 0.3, 0.02, 400)
+    assert ka[0] == 0.0
+    assert np.abs(ka[1:]).max() > 0.0
 
 
 def test_free_qubit_cosine(free_params):
@@ -115,8 +114,7 @@ def test_free_qubit_cosine(free_params):
 
 
 def test_zero_kernels_constant_population():
-    grid = KernelGrid(h=0.05, ks=np.zeros(401), ka=np.zeros(401))
-    series = solve_gme(grid)
+    series = solve_gme(0.05, np.zeros(401), np.zeros(401))
     np.testing.assert_array_equal(series.values, 1.0)
 
 
@@ -215,9 +213,8 @@ def _first_bad_step(march, ks0):
 def test_non_finite_state_guard():
     # a negative constant kernel makes the trace grow like cosh and must trip
     # the divergence guard instead of overflowing silently
-    grid = KernelGrid(h=0.01, ks=np.full(1001, -25.0), ka=np.zeros(1001))
     with pytest.raises(NonFiniteStateError):
-        solve_gme(grid)
+        solve_gme(0.01, np.full(1001, -25.0), np.zeros(1001))
     # the first bad step matches the direct sum; at ks = -4 it lies past two leaf boundaries
     for ks0 in (-25.0, -4.0):
         assert _first_bad_step(accel.march, ks0) == _first_bad_step(_reference_march, ks0)

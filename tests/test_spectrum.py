@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from effbath.errors import BandTooNarrowError, NoPeaksError, TooShortError
+from effbath.errors import NoPeaksError, TooShortError
 from effbath.gme import TimeSeries, simulate_population
 from effbath.params import build_params
 from effbath.scenarios import FIGURE_PARAMS, peak_entries, run_scenario
@@ -190,13 +190,17 @@ def test_a_band_at_or_past_nyquist_is_the_full_rfft(rng):
 
 
 @pytest.mark.parametrize("line", [4.0, 2.9], ids=["past_the_band", "at_its_edge"])
-def test_a_band_that_misses_a_line_raises(line):
+def test_a_band_that_misses_a_line_widens_until_it_holds_the_trace(energy_outside, line):
     t = 0.05 * np.arange(2000)
     series = _series(np.exp(-0.02 * t) * (np.cos(t) + 0.1 * np.cos(line * t)))
-    with pytest.raises(BandTooNarrowError, match="omega_max = 3 "):
-        fourier_spectrum(series, zero_pad_factor=8, omega_max=3.0)
-    # a band wide enough keeps both lines (the window keeps the weak one above the strong one's sidelobes)
-    peaks = peak_extract(fourier_spectrum(series, "hann", 8, omega_max=5.0), 2)
+    # the window keeps the weak line above the strong one's sidelobes
+    result = fourier_spectrum(series, "hann", 8, omega_max=3.0)
+    full = fourier_spectrum(series, "hann", 8)
+    m = result.omega.size
+    assert result.omega.tobytes() == full.omega[:m].tobytes() and result.omega[-1] > line
+    assert energy_outside(spectrum._windowed(series.values, "hann"), 8 * 2000, m) <= 1e-3
+    assert np.abs(result.magnitude - full.magnitude[:m]).max() <= 1e-14 * full.magnitude.max()
+    peaks = peak_extract(result, 2)
     assert sorted(round(peak.omega, 1) for peak in peaks) == [1.0, line]
 
 
@@ -204,9 +208,9 @@ def test_a_band_that_misses_a_line_raises(line):
     ("fig3", {}), ("fig5", {}), ("fig7", {}), ("custom", {"Delta": 4.0}),
 ], ids=["fig3", "fig5", "fig7", "custom_Delta_4"])
 def test_figure_peaks_match_a_full_band_reference(tag, overrides):
-    # the summary's peaks come from the band omega <= 3*Omega, or twice the
-    # fastest line above it; the same keys from the FFT up to Nyquist agree
-    # to rounding
+    # the summary's peaks come from the band omega <= 3*Omega, widened until
+    # it holds the trace; the same keys from the FFT up to Nyquist agree to
+    # rounding
     params = build_params(dict(FIGURE_PARAMS.get(tag, FIGURE_PARAMS["fig3"]), **overrides))
     summary = run_scenario(tag, params)["summary.txt"]
     variants = [("niba_", params)]
