@@ -2,6 +2,9 @@
 
 * ``quadrature_correlation``: adaptive quadrature of the defining
   frequency integral (oracle), one ``correlation_quadrature`` per tau;
+  ``interpolated_correlation`` integrates only at Chebyshev nodes and
+  interpolates the smooth quadrature-minus-closed-form difference, for
+  the march's kernels;
 * ``closed_form_correlation``: closed form for the Lorentzian-peaked
   effective bath, or at zero damping, where it is singular, the split's
   undamped limit;
@@ -33,7 +36,12 @@ __all__ = [
     "correlation_quadrature",
     "closed_form_correlation",
     "quadrature_correlation",
+    "interpolated_correlation",
 ]
+
+# Chebyshev-Lobatto node count of the first interpolant; each next one
+# doubles the intervals (17, 33, 65, ...) and keeps every earlier node
+_FIRST_NODES = 9
 
 
 @dataclass(frozen=True)
@@ -259,10 +267,12 @@ def quadrature_correlation(p: SystemParams, scales: DerivedScales, atol: float =
     """Quadrature evaluator of the correlation integrals for these params.
 
     Each tau is integrated once; S and R come out of the same call, in the
-    shape of tau.  The smooth pieces int G/w^2*coth(beta*w/2) between the
-    knots do not depend on tau: each that QUADPACK integrates without a
-    warning is integrated once per evaluator and reused, with the same
-    bits, by every later tau with the same knots.
+    shape of tau.  It fills the correlation CSV; the march's kernels come
+    from ``interpolated_correlation``, which calls it at Chebyshev nodes.
+    The smooth pieces int G/w^2*coth(beta*w/2) between the knots do not
+    depend on tau: each that QUADPACK integrates without a warning is
+    integrated once per evaluator and reused, with the same bits, by every
+    later tau with the same knots.
     gamma = 0, where G(omega) is a line, raises ZeroDampingError.
     """
     if scales.gammabar == 0.0:
@@ -288,3 +298,66 @@ def quadrature_correlation(p: SystemParams, scales: DerivedScales, atol: float =
         return values[:, 0].reshape(arr.shape), values[:, 1].reshape(arr.shape)
 
     return CorrelationFn(kind="quadrature", pair=pair)
+
+
+def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the interpolant through each row's values at cos(pi*j/n), j = 0..n.
+
+    One DCT-I per row, taken as the real FFT of the even extension.
+    """
+    n = values.shape[1] - 1
+    extended = np.concatenate([values, values[:, n - 1 : 0 : -1]], axis=1)
+    coeffs = np.fft.rfft(extended, axis=1).real / n
+    coeffs[:, [0, n]] /= 2.0
+    return coeffs
+
+
+def _clenshaw(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each row of ``coeffs`` summed as a Chebyshev series at x in [-1, 1], by Clenshaw's recurrence."""
+    two_x = 2.0 * x
+    b1 = b2 = np.zeros((coeffs.shape[0], x.shape[0]))
+    for c in coeffs[:, :0:-1].T:
+        b1, b2 = c[:, None] + two_x * b1 - b2, b1
+    return coeffs[:, :1] + x * b1 - b2
+
+
+def interpolated_correlation(p: SystemParams, scales: DerivedScales, atol: float = 1e-8) -> CorrelationFn:
+    """Quadrature evaluator for many tau: integrals at Chebyshev nodes only.
+
+    S and R come from the closed form plus the difference quadrature minus
+    closed form, which is smooth in tau (it holds the dropped Matsubara
+    terms and the pole reduction).  ``correlation_quadrature`` runs at the
+    nested Chebyshev-Lobatto nodes of [0, max tau], 9, 17, 33, ... of them,
+    each count keeping the nodes of the last; the differences there are
+    fitted by a DCT-I and summed at every tau by Clenshaw's recurrence
+    (Trefethen, Approximation Theory and Approximation Practice, SIAM
+    2013).  The fit stops once the largest of the last three coefficients
+    of both differences is at most ``atol``.  When the next node count
+    would not be below the number of tau (a tau grid of 9 or fewer, or a
+    difference the tail rule never accepts), or a tau is negative or not
+    finite, each tau is integrated once as ``quadrature_correlation``
+    does.  Kind "quadrature-chebyshev"; gamma = 0 raises ZeroDampingError.
+    """
+    quad = quadrature_correlation(p, scales, atol)
+    closed = closed_form_correlation(p, scales)
+
+    def pair(tau):
+        arr = np.asarray(tau, dtype=float)
+        flat = arr.ravel()
+        count = _FIRST_NODES
+        if count < flat.size and 0.0 <= flat.min() and 0.0 < flat.max() < math.inf:
+            span = flat.max()
+            diffs = None
+            while count < flat.size:
+                nodes = 0.5 * span * (1.0 + np.cos(np.pi * np.arange(count) / (count - 1)))
+                fresh = nodes if diffs is None else nodes[1::2]
+                new = np.subtract(quad.pair(fresh), closed.pair(fresh))
+                diffs = new if diffs is None else np.insert(diffs, np.arange(1, diffs.shape[1]), new, axis=1)
+                coeffs = _chebyshev_coefficients(diffs)
+                if np.abs(coeffs[:, -3:]).max() <= atol:
+                    s_val, r_val = np.add(closed.pair(flat), _clenshaw(coeffs, 2.0 * flat / span - 1.0))
+                    return s_val.reshape(arr.shape), r_val.reshape(arr.shape)
+                count = 2 * count - 1
+        return quad.pair(arr)
+
+    return CorrelationFn(kind="quadrature-chebyshev", pair=pair)

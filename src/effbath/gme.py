@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import accel
-from .correlation import CorrelationFn, closed_form_correlation, quadrature_correlation
+from .correlation import CorrelationFn, closed_form_correlation, interpolated_correlation
 from .errors import NonFiniteStateError, NonPositiveError, StepTooLargeError
 from .params import DerivedScales, SystemParams, derived_scales
 
@@ -139,9 +139,13 @@ def simulate_population(
 ) -> TimeSeries:
     """Full pipeline: correlation function -> kernels -> P(t).
 
-    ``correlation`` selects the evaluator ("closed" by default,
-    "quadrature" for validation runs).  The step must resolve Omega1,
-    Delta and |epsilon| with at least 40 points per period.
+    ``correlation`` selects the evaluator: "closed" by default, or
+    "quadrature" for validation runs, whose kernels come from
+    ``interpolated_correlation``: quadrature at nested Chebyshev nodes on
+    [0, horizon] (129 for the fig3 grid), the smooth difference from the
+    closed form interpolated to every grid point (one integral per point
+    on a grid of 9 points or fewer).  The step must resolve Omega1, Delta
+    and |epsilon| with at least 40 points per period.
     """
     if scales is None:
         scales = derived_scales(p)
@@ -157,7 +161,7 @@ def simulate_population(
     if correlation == "closed":
         corr = closed_form_correlation(p, scales)
     elif correlation == "quadrature":
-        corr = quadrature_correlation(p, scales)
+        corr = interpolated_correlation(p, scales)
     else:
         raise ValueError(f"unknown correlation evaluator {correlation!r}")
 

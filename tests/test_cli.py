@@ -489,6 +489,21 @@ def test_spectrum_widens_its_band_to_a_line_past_it(tmp_path):
     assert data["magnitude"][past].max() > 0.9 * data["magnitude"][data["omega"] < 1.0].max()
 
 
+def test_spectrum_reports_a_line_in_the_last_bin_of_the_full_band(tmp_path):
+    # 101 samples: the full band's last bin, 3.110, holds the 3.1 line (52.5
+    # against 8.2 next to it), and its mirror 2*pi - 3.110 is the bin past it
+    t = np.arange(101.0)
+    path = tmp_path / "trace.csv"
+    write_csv(path, ["t", "P"], [t, np.cos(0.3 * t) + np.cos(3.1 * t)])
+    out = tmp_path / "out"
+    assert main(["spectrum", str(path), "--peaks", "2", "--out", str(out)]) == 0
+    peaks = dict(line.split("=") for line in (out / "peaks.txt").read_text().splitlines())
+    assert peaks["peak_shortage"] == "0"
+    assert abs(float(peaks["peak1_omega"]) - 0.3) <= float(peaks["fft_bin"])
+    assert abs(float(peaks["peak2_omega"]) - 3.1) <= float(peaks["fft_bin"])
+    assert float(peaks["peak2_omega"]) <= np.pi
+
+
 @pytest.mark.filterwarnings("ignore::effbath.errors.RegimeWarning")  # |u0| = 2.9: the WDA is out of its regime
 def test_custom_widens_a_band_that_misses_a_multi_phonon_line(tmp_path, energy_outside):
     # at g = 0.87*Omega the NIBA trace holds multi-phonon lines, one near 1.93, past 3*Omega = 1.893

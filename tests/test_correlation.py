@@ -8,14 +8,15 @@ from effbath import correlation
 from effbath.correlation import (
     closed_form_correlation,
     correlation_quadrature,
+    interpolated_correlation,
     quadrature_correlation,
     wda_coefficients,
     wda_split,
 )
 from effbath.errors import QuadratureNonConvergence, ZeroDampingError
-from effbath.gme import niba_kernels
+from effbath.gme import niba_kernels, simulate_population, time_grid
 from effbath.params import build_params, derived_scales
-from effbath.scenarios import spectral_table, write_correlation_csv
+from effbath.scenarios import FIGURE_PARAMS, spectral_table, write_correlation_csv
 
 FIG3 = {"Omega": 1, "alpha": 0.02, "g": 0.18, "gamma_over_2piOmega": 0.0154,
         "beta": 10, "Delta": 1, "epsilon": 0}
@@ -246,6 +247,7 @@ def test_every_evaluator_returns_the_shape_of_tau(fig3_params, fig3_scales):
     undamped = build_params(FIG3_UNDAMPED)
     grid = np.array([[0.0, 0.5], [1.5, 3.0]])
     for fn in (quadrature_correlation(fig3_params, fig3_scales),
+               interpolated_correlation(fig3_params, fig3_scales),
                closed_form_correlation(fig3_params, fig3_scales),
                closed_form_correlation(undamped, derived_scales(undamped))):
         s_flat, r_flat = fn.pair(grid.ravel())
@@ -271,6 +273,47 @@ def test_quadrature_integrates_each_tau_once(fig3_params, fig3_scales, monkeypat
     calls.clear()
     write_correlation_csv(tmp_path / "correlation.csv", fig3_params, points=7)
     assert len(calls) == 7
+    # the correlation CSV never interpolates: its default 121 tau take one integral each
+    calls.clear()
+    write_correlation_csv(tmp_path / "correlation.csv", fig3_params)
+    assert len(calls) == 121
+    # the march on the oracle benchmark's grid, 31 tau, stops at 17 Chebyshev nodes
+    calls.clear()
+    simulate_population(fig3_params, step=0.1, horizon=3.0, correlation="quadrature")
+    assert len(calls) == 17
+
+
+# The tail rule accepts a fit once the last three Chebyshev coefficients of
+# each difference are at most atol.  Over 9 to 257 nodes at fig3, fig5 and the
+# oracle grid the true error stayed within 9 times that tail (7.6 at fig3 with
+# 33 nodes, 8.8 with 257) wherever the tail lay above the quadrature's own
+# error; that error, 2.0e-8 at fig5 also for the per-tau path at atol 1e-8,
+# lies inside the same band
+KERNEL_PATH_BAND = 10.0  # in units of atol
+
+
+@pytest.mark.parametrize("tag, step, horizon", [("fig3", None, None), ("fig5", None, None), ("fig3", 0.1, 3.0)])
+def test_interpolated_kernels_match_a_tight_quadrature(tag, step, horizon):
+    p = build_params(FIGURE_PARAMS[tag])
+    s = derived_scales(p)
+    h, n_steps = time_grid(p, s, step, horizon)
+    t = h * np.arange(n_steps + 1)
+    s_val, r_val = interpolated_correlation(p, s).pair(t)
+    rows = np.random.default_rng(21).choice(t.size, min(150, t.size), replace=False)
+    s_ref, r_ref = quadrature_correlation(p, s, atol=1e-11).pair(t[rows])
+    assert np.abs(s_val[rows] - s_ref).max() <= KERNEL_PATH_BAND * 1e-8
+    assert np.abs(r_val[rows] - r_ref).max() <= KERNEL_PATH_BAND * 1e-8
+
+
+def test_interpolated_correlation_integrates_each_tau_of_a_short_or_bad_grid(fig3_params, fig3_scales):
+    # 9 tau or fewer, a negative tau and a grid of zeros take the per-tau path
+    fn = interpolated_correlation(fig3_params, fig3_scales)
+    quad = quadrature_correlation(fig3_params, fig3_scales)
+    grid = np.linspace(0.0, 3.0, 9)
+    np.testing.assert_array_equal(fn.pair(grid), quad.pair(grid))
+    np.testing.assert_array_equal(fn.pair(np.zeros(12)), np.zeros((2, 12)))
+    with pytest.raises(ValueError, match="tau must be finite"):
+        fn.pair(np.linspace(-1.0, 3.0, 12))
 
 
 def test_quadrature_nonconvergence_reports_achieved(fig3_params, fig3_scales):
@@ -339,6 +382,7 @@ def test_decoupled_correlation_vanishes(free_params):
 def test_correlation_fn_kinds(fig3_params, fig3_scales):
     assert closed_form_correlation(fig3_params, fig3_scales).kind == "closed-form"
     assert quadrature_correlation(fig3_params, fig3_scales).kind == "quadrature"
+    assert interpolated_correlation(fig3_params, fig3_scales).kind == "quadrature-chebyshev"
     p = build_params(FIG3_UNDAMPED)
     s = derived_scales(p)
     w = closed_form_correlation(p, s)

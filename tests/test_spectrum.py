@@ -225,3 +225,17 @@ def test_figure_peaks_match_a_full_band_reference(tag, overrides):
                 assert summary[key] == pytest.approx(value, rel=1e-13, abs=0.0), key
     if tag == "custom":  # the qubit's line, near Delta = 4, lies past 3*Omega
         assert max(summary["niba_peak1_omega"], summary["niba_peak2_omega"]) > 3.0
+
+
+def test_a_band_never_takes_its_last_bin_as_a_peak():
+    # bin-aligned lines at bins 48 and 239 of 1000 samples; the weak one
+    # leaves about 2e-5 of the Hann-weighted energy past a band that ends at
+    # bin 239, so the band holds, and its last bin has no neighbour past it
+    n = 1000
+    t = np.arange(n, dtype=float)
+    lines = 2 * np.pi * np.array([48, 239]) / n
+    series = _series(np.cos(lines[0] * t) + 0.01 * np.cos(lines[1] * t), 1.0)
+    band = fourier_spectrum(series, omega_max=lines[1] * (1 + 1e-9))
+    assert band.omega.size == 240 < band.n_pad // 2 + 1
+    assert [q.omega for q in peak_extract(band, 2)] == pytest.approx(lines[:1])
+    assert sorted(q.omega for q in peak_extract(fourier_spectrum(series), 2)) == pytest.approx(lines)
