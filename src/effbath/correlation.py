@@ -42,6 +42,8 @@ __all__ = [
 # Chebyshev-Lobatto node count of the first interpolant; each next one
 # doubles the intervals (17, 33, 65, ...) and keeps every earlier node
 _FIRST_NODES = 9
+# absolute tolerance of each quadrature and of the Chebyshev fit's tail
+QUADRATURE_ATOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,7 @@ def correlation_quadrature(
     tau: float,
     geff_fn: Callable,
     beta: float,
-    atol: float = 1e-8,
+    atol: float = QUADRATURE_ATOL,
     peak: float | None = None,
     peak_width: float | None = None,
     omega_max: float = 1000.0,
@@ -263,7 +265,9 @@ def closed_form_correlation(p: SystemParams, scales: DerivedScales) -> Correlati
     return CorrelationFn(kind="closed-form", pair=pair)
 
 
-def quadrature_correlation(p: SystemParams, scales: DerivedScales, atol: float = 1e-8) -> CorrelationFn:
+def quadrature_correlation(
+    p: SystemParams, scales: DerivedScales, atol: float = QUADRATURE_ATOL
+) -> CorrelationFn:
     """Quadrature evaluator of the correlation integrals for these params.
 
     Each tau is integrated once; S and R come out of the same call, in the
@@ -321,7 +325,7 @@ def _clenshaw(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return coeffs[:, :1] + x * b1 - b2
 
 
-def interpolated_correlation(p: SystemParams, scales: DerivedScales, atol: float = 1e-8) -> CorrelationFn:
+def interpolated_correlation(p: SystemParams, scales: DerivedScales) -> CorrelationFn:
     """Quadrature evaluator for many tau: integrals at Chebyshev nodes only.
 
     S and R come from the closed form plus the difference quadrature minus
@@ -332,13 +336,15 @@ def interpolated_correlation(p: SystemParams, scales: DerivedScales, atol: float
     fitted by a DCT-I and summed at every tau by Clenshaw's recurrence
     (Trefethen, Approximation Theory and Approximation Practice, SIAM
     2013).  The fit stops once the largest of the last three coefficients
-    of both differences is at most ``atol``.  When the next node count
-    would not be below the number of tau (a tau grid of 9 or fewer, or a
-    difference the tail rule never accepts), or a tau is negative or not
-    finite, each tau is integrated once as ``quadrature_correlation``
-    does.  Kind "quadrature-chebyshev"; gamma = 0 raises ZeroDampingError.
+    of both differences is at most ``QUADRATURE_ATOL``, the tolerance of
+    each integral.  When the next node count would not be below the
+    number of tau, or a tau is negative or not finite, each tau is
+    integrated once as ``quadrature_correlation`` does; after a fit the
+    tail rule rejected, that costs the node integrals on top and issues a
+    RuntimeWarning.  Kind "quadrature-chebyshev"; gamma = 0 raises
+    ZeroDampingError.
     """
-    quad = quadrature_correlation(p, scales, atol)
+    quad = quadrature_correlation(p, scales)
     closed = closed_form_correlation(p, scales)
 
     def pair(tau):
@@ -354,10 +360,12 @@ def interpolated_correlation(p: SystemParams, scales: DerivedScales, atol: float
                 new = np.subtract(quad.pair(fresh), closed.pair(fresh))
                 diffs = new if diffs is None else np.insert(diffs, np.arange(1, diffs.shape[1]), new, axis=1)
                 coeffs = _chebyshev_coefficients(diffs)
-                if np.abs(coeffs[:, -3:]).max() <= atol:
+                if np.abs(coeffs[:, -3:]).max() <= QUADRATURE_ATOL:
                     s_val, r_val = np.add(closed.pair(flat), _clenshaw(coeffs, 2.0 * flat / span - 1.0))
                     return s_val.reshape(arr.shape), r_val.reshape(arr.shape)
                 count = 2 * count - 1
+            warnings.warn(f"no Chebyshev fit of up to {diffs.shape[1]} nodes met the tail rule; integrating"
+                          f" each of the {flat.size} tau", RuntimeWarning, stacklevel=2)
         return quad.pair(arr)
 
     return CorrelationFn(kind="quadrature-chebyshev", pair=pair)

@@ -179,9 +179,8 @@ def fourier_spectrum(
     )
 
 
-def _refine(omega: np.ndarray, mag: np.ndarray, i: int) -> tuple[float, float]:
-    """Quadratic interpolation of a local maximum over three bins."""
-    left, mid, right = mag[i - 1], mag[i], mag[i + 1]
+def _refine(omega: np.ndarray, left: float, mid: float, right: float, i: int) -> tuple[float, float]:
+    """Quadratic interpolation of a local maximum at bin i over its magnitude and its neighbours'."""
     denom = left - 2.0 * mid + right
     if denom == 0.0:
         return float(omega[i]), float(mid)
@@ -192,7 +191,12 @@ def _refine(omega: np.ndarray, mag: np.ndarray, i: int) -> tuple[float, float]:
     return float(omega[i]) + shift * step, float(height)
 
 
-def _half_width(omega: np.ndarray, mag: np.ndarray, i: int) -> float:
+def _half_width(omega: np.ndarray, mag: np.ndarray, i: int, past_end: float | None = None) -> float:
+    """Half the width over which the magnitude stays above half of bin i's.
+
+    A walk that reaches the last bin above half steps one bin further
+    when there is a magnitude ``past_end``.
+    """
     half = 0.5 * mag[i]
     left = i
     while left > 0 and mag[left] > half:
@@ -200,7 +204,10 @@ def _half_width(omega: np.ndarray, mag: np.ndarray, i: int) -> float:
     right = i
     while right < mag.shape[0] - 1 and mag[right] > half:
         right += 1
-    return 0.5 * float(omega[right] - omega[left])
+    width = float(omega[right] - omega[left])
+    if past_end is not None and right == mag.shape[0] - 1 and mag[right] > half:
+        width += float(omega[-1] - omega[-2])
+    return 0.5 * width
 
 
 def peak_extract(spectrum: SpectrumResult, k: int) -> list[Peak]:
@@ -220,11 +227,12 @@ def peak_extract(spectrum: SpectrumResult, k: int) -> list[Peak]:
         raise ValueError("k must be >= 1")
     mag, omega = spectrum.magnitude, spectrum.omega
     m = mag.shape[0]
-    if m == spectrum.n_pad // 2 + 1:
-        mag = np.append(mag, mag[spectrum.n_pad - m])
-        omega = np.append(omega, 2.0 * omega[-1] - omega[-2])
+    # the magnitude past the last bin, or None where the band ends there
+    past_end = mag[spectrum.n_pad - m] if m == spectrum.n_pad // 2 + 1 else None
     interior = (mag[1:-1] > mag[:-2]) & (mag[1:-1] >= mag[2:])
     indices = np.nonzero(interior)[0] + 1
+    if past_end is not None and mag[-1] > mag[-2] and mag[-1] >= past_end:
+        indices = np.append(indices, m - 1)
     indices = indices[mag[indices] >= _MIN_REL_HEIGHT * mag.max()]
     if indices.size == 0:
         raise NoPeaksError("no local maxima in magnitude spectrum")
@@ -232,6 +240,7 @@ def peak_extract(spectrum: SpectrumResult, k: int) -> list[Peak]:
     chosen = indices[order][:k]
     peaks = []
     for i in chosen:
-        loc, height = _refine(omega, mag, int(i))
-        peaks.append(Peak(omega=loc, height=height, half_width=_half_width(omega, mag, int(i))))
+        right = past_end if i == m - 1 else mag[i + 1]
+        loc, height = _refine(omega, mag[i - 1], mag[i], right, int(i))
+        peaks.append(Peak(omega=loc, height=height, half_width=_half_width(omega, mag, int(i), past_end)))
     return peaks

@@ -6,6 +6,7 @@ from scipy.integrate import IntegrationWarning
 
 from effbath import correlation
 from effbath.correlation import (
+    QUADRATURE_ATOL,
     closed_form_correlation,
     correlation_quadrature,
     interpolated_correlation,
@@ -284,12 +285,12 @@ def test_quadrature_integrates_each_tau_once(fig3_params, fig3_scales, monkeypat
 
 
 # The tail rule accepts a fit once the last three Chebyshev coefficients of
-# each difference are at most atol.  Over 9 to 257 nodes at fig3, fig5 and the
+# each difference are at most QUADRATURE_ATOL.  Over 9 to 257 nodes at fig3, fig5 and the
 # oracle grid the true error stayed within 9 times that tail (7.6 at fig3 with
 # 33 nodes, 8.8 with 257) wherever the tail lay above the quadrature's own
 # error; that error, 2.0e-8 at fig5 also for the per-tau path at atol 1e-8,
 # lies inside the same band
-KERNEL_PATH_BAND = 10.0  # in units of atol
+KERNEL_PATH_BAND = 10.0 * QUADRATURE_ATOL
 
 
 @pytest.mark.parametrize("tag, step, horizon", [("fig3", None, None), ("fig5", None, None), ("fig3", 0.1, 3.0)])
@@ -301,8 +302,8 @@ def test_interpolated_kernels_match_a_tight_quadrature(tag, step, horizon):
     s_val, r_val = interpolated_correlation(p, s).pair(t)
     rows = np.random.default_rng(21).choice(t.size, min(150, t.size), replace=False)
     s_ref, r_ref = quadrature_correlation(p, s, atol=1e-11).pair(t[rows])
-    assert np.abs(s_val[rows] - s_ref).max() <= KERNEL_PATH_BAND * 1e-8
-    assert np.abs(r_val[rows] - r_ref).max() <= KERNEL_PATH_BAND * 1e-8
+    assert np.abs(s_val[rows] - s_ref).max() <= KERNEL_PATH_BAND
+    assert np.abs(r_val[rows] - r_ref).max() <= KERNEL_PATH_BAND
 
 
 def test_interpolated_correlation_integrates_each_tau_of_a_short_or_bad_grid(fig3_params, fig3_scales):
@@ -314,6 +315,25 @@ def test_interpolated_correlation_integrates_each_tau_of_a_short_or_bad_grid(fig
     np.testing.assert_array_equal(fn.pair(np.zeros(12)), np.zeros((2, 12)))
     with pytest.raises(ValueError, match="tau must be finite"):
         fn.pair(np.linspace(-1.0, 3.0, 12))
+
+
+def test_interpolated_correlation_warns_when_it_gives_up_the_fit(fig3_params, fig3_scales, monkeypatch):
+    # 12 tau over fig3's horizon: 9 nodes leave a tail far above
+    # QUADRATURE_ATOL and 17 would not be below 12, so after the rejected
+    # fit each tau is integrated as the per-tau path does
+    calls = []
+    original = correlation.correlation_quadrature
+
+    def counted(tau, *args, **kwargs):
+        calls.append(tau)
+        return original(tau, *args, **kwargs)
+
+    monkeypatch.setattr(correlation, "correlation_quadrature", counted)
+    grid = np.linspace(0.0, 100.0, 12)
+    with pytest.warns(RuntimeWarning, match="no Chebyshev fit of up to 9 nodes met the tail rule"):
+        values = interpolated_correlation(fig3_params, fig3_scales).pair(grid)
+    assert len(calls) == 9 + 12
+    np.testing.assert_array_equal(values, quadrature_correlation(fig3_params, fig3_scales).pair(grid))
 
 
 def test_quadrature_nonconvergence_reports_achieved(fig3_params, fig3_scales):

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from effbath import accel
-from effbath.correlation import closed_form_correlation, quadrature_correlation
+from effbath.correlation import QUADRATURE_ATOL, closed_form_correlation, quadrature_correlation
 from effbath.errors import NonFiniteStateError, StepTooLargeError
 from effbath.gme import (
     default_step,
@@ -278,16 +278,16 @@ def test_quadrature_kernel_path_smoke(fig3_params):
 
 @pytest.mark.parametrize("tag, step, horizon", [("fig3", 0.1, 3.0), ("fig5", 0.05, 10.0)])
 def test_interpolated_kernels_keep_the_per_tau_march(tag, step, horizon):
-    # S and R of the interpolated path lie within 10*atol = 1e-7 of the
-    # quadrature (tests/test_correlation.py), and S >= 0, so to first order
-    # |dK| <= Delta^2*(|dS| + |dR|) <= 2e-7*Delta^2.  P is the march's own
-    # resolvent and |P| <= 1, so a kernel error dK moves P(t) by at most
-    # t^2/2*max|dK|
+    # S and R of the interpolated path lie within 10*QUADRATURE_ATOL of
+    # the quadrature (tests/test_correlation.py), and S >= 0, so to first
+    # order |dK| <= Delta^2*(|dS| + |dR|) <= 20*QUADRATURE_ATOL*Delta^2.
+    # P is the march's own resolvent and |P| <= 1, so a kernel error dK
+    # moves P(t) by at most t^2/2*max|dK|
     p = build_params(FIGURE_PARAMS[tag])
     s = derived_scales(p)
     h, n_steps = time_grid(p, s, step, horizon)
     per_tau = solve_gme(h, *niba_kernels(quadrature_correlation(p, s), p.Delta, p.epsilon, h, n_steps))
     interpolated = simulate_population(p, s, step=step, horizon=horizon, correlation="quadrature")
     assert np.abs(per_tau.values).max() <= 1.0
-    bound = 0.5 * per_tau.times**2 * p.Delta**2 * 2e-7
+    bound = 0.5 * per_tau.times**2 * p.Delta**2 * 20.0 * QUADRATURE_ATOL
     assert np.all(np.abs(interpolated.values - per_tau.values) <= bound)
