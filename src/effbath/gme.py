@@ -29,7 +29,6 @@ from .params import DerivedScales, SystemParams, derived_scales
 
 __all__ = [
     "TimeSeries",
-    "fastest_frequency",
     "default_step",
     "time_grid",
     "niba_kernels",
@@ -55,7 +54,7 @@ class TimeSeries:
         return self.h * np.arange(self.values.shape[0])
 
 
-def fastest_frequency(p: SystemParams, scales: DerivedScales) -> float:
+def _fastest_frequency(p: SystemParams, scales: DerivedScales) -> float:
     """Fastest oscillation the kernels carry: Omega1, Delta or |epsilon|."""
     return max(scales.Omega1, p.Delta, abs(p.epsilon))
 
@@ -68,7 +67,7 @@ def default_step(p: SystemParams, scales: DerivedScales | None = None) -> float:
     """
     if scales is None:
         scales = derived_scales(p)
-    fastest = max(fastest_frequency(p, scales), 1e-12)
+    fastest = max(_fastest_frequency(p, scales), 1e-12)
     return 2.0 * math.pi / (_DEFAULT_POINTS_PER_PERIOD * fastest)
 
 
@@ -152,7 +151,7 @@ def simulate_population(
     step, n_steps = time_grid(p, scales, step, horizon)
 
     limit = 2.0 * math.pi / _MIN_POINTS_PER_PERIOD
-    if step * fastest_frequency(p, scales) > limit:
+    if step * _fastest_frequency(p, scales) > limit:
         raise StepTooLargeError(
             f"step {step:.4g} does not resolve the fastest oscillation; "
             f"need h*max(Omega1, Delta, |epsilon|) <= {limit:.4g}"

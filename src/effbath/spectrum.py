@@ -17,7 +17,8 @@ _MIN_SAMPLES = 64
 _MIN_REL_HEIGHT = 1e-6
 # a band that leaves more of the trace's Hann-weighted energy outside misses a line
 _MAX_OUT_OF_BAND = 1e-3
-# Bluestein plans kept: a sweep uses one key, a pass over the figure tags two
+# Bluestein plans kept, and twiddle tables: a sweep uses one key of each (its
+# full band's half-length plan), a pass over the figure tags two plans
 _PLANS = 8
 
 
@@ -81,6 +82,14 @@ def _bluestein_plan(n: int, n_pad: int, m: int) -> tuple[np.ndarray, np.ndarray]
     return chirp, kernel
 
 
+@functools.lru_cache(maxsize=_PLANS)
+def _twiddle(n_pad: int) -> np.ndarray:
+    """exp(-2*pi*i*k/n_pad) for k = 0..n_pad//2, the unpacking factors of ``_packed_full_band``, read-only."""
+    twiddle = np.exp(-2j * np.pi * np.arange(n_pad // 2 + 1) / n_pad)
+    twiddle.flags.writeable = False
+    return twiddle
+
+
 def _chirp_z(x: np.ndarray, n_pad: int, m: int) -> np.ndarray:
     """Bins 0..m-1 of the n_pad-point DFT of ``x``, by Bluestein's chirp-z transform.
 
@@ -92,13 +101,39 @@ def _chirp_z(x: np.ndarray, n_pad: int, m: int) -> np.ndarray:
     the transform's plan (Frigo & Johnson, Proc. IEEE 93 (2005) 216), built
     once per key and kept read-only in a small cache, so a hit returns the
     same bytes as a miss.  A call on a kept plan costs two FFTs of that
-    length.  It is the one transform of ``fourier_spectrum``, for a band
-    and for the full band (m = n_pad//2 + 1) alike.
+    length.  ``fourier_spectrum`` takes a band, and a full band at odd
+    n_pad, from it directly; a full band at even n_pad from it through
+    ``_packed_full_band``, at half the length.
     """
     n = x.shape[0]
     chirp, kernel = _bluestein_plan(n, n_pad, m)
     product = np.fft.fft(x * chirp[:n], kernel.shape[0]) * kernel
     return chirp[:m] * np.fft.ifft(product)[:m]
+
+
+def _packed_full_band(x: np.ndarray, n_pad: int) -> np.ndarray:
+    """Bins 0..n_pad/2 of the n_pad-point DFT of the real ``x``, n_pad even, from one half-length DFT.
+
+    The samples are packed in pairs as z = x[0::2] + i*x[1::2], whose
+    n_pad/2-point DFT Z (``_chirp_z`` on ceil(n/2) points) holds the DFTs
+    of the even and the odd samples as its conjugate-even and -odd parts;
+    so X[k] = (Z[k] + conj Z[-k])/2 - i*w^k*(Z[k] - conj Z[-k])/2 with
+    w = exp(-2*pi*i/n_pad) (Cooley, Lewis & Welch, J. Sound Vib. 12 (1970)
+    315).  The factors w^k are kept read-only next to the plan.
+    """
+    half = n_pad // 2
+    pairs = np.ascontiguousarray(x if x.shape[0] % 2 == 0 else np.append(x, 0.0), dtype=float)
+    packed = _chirp_z(pairs.view(complex), half, half)
+    ends = np.append(packed, packed[0])  # Z[k] for k = 0..half, periodic in half
+    mirror = ends[::-1].conj()  # conj Z[-k]
+    return 0.5 * ((ends + mirror) - 1j * _twiddle(n_pad) * (ends - mirror))
+
+
+def _head(x: np.ndarray, n_pad: int, m: int) -> np.ndarray:
+    """Bins 0..m-1 of the n_pad-point DFT of the real ``x``: the packed transform for a full band at even n_pad."""
+    if m == n_pad // 2 + 1 and n_pad % 2 == 0:
+        return _packed_full_band(x, n_pad)
+    return _chirp_z(x, n_pad, m)
 
 
 def _out_of_band(x: np.ndarray, bins: np.ndarray, pad: int) -> float:
@@ -141,7 +176,11 @@ def fourier_spectrum(
     bins come from the chirp-z transform (``_chirp_z``; Rabiner, Schafer &
     Rader, IEEE Trans. Audio Electroacoust. 17 (1969) 86), which costs
     FFTs of the least 5-smooth length >= n + m - 1 for m bins, instead of
-    one of the padded length.  A band short of Nyquist that leaves more
+    one of the padded length.  The full band at even n_pad transforms the
+    trace packed in pairs (``_packed_full_band``), ceil(n/2) points into
+    n_pad/2 bins, so its FFTs are of the least 5-smooth length >=
+    ceil(n/2) + n_pad/2 - 1; at odd n_pad it keeps the n-point transform
+    into all n_pad//2 + 1 bins.  A band short of Nyquist that leaves more
     than 1e-3 of the trace's Hann-weighted energy outside it misses a
     line, or cuts one at its edge; it is doubled in bins, up to the full
     band, and transformed again until it holds all but that 1e-3.  So
@@ -150,11 +189,12 @@ def fourier_spectrum(
 
     The omega column is the full grid's (or its head) exactly, and the
     magnitudes agree with ``np.fft.rfft``'s within 1e-14 of the largest
-    (measured: 1.2e-15 at most).  Over the full band a kept plan costs
+    (measured: 1.3e-15 at most).  Over the full band a kept plan costs
     more than ``np.fft.rfft`` at a length pocketfft runs directly, and less
     at one it runs by its own Bluestein (best of 7, 2-vCPU Xeon, numpy
-    2.4.6: n = 10,800 at pad 8, 2.0-2.4 against 0.8-1.2 ms; n = 10,798 at
-    pad 8, 1.7-2.7 against 14-17 ms).
+    2.4.6, the call against ``rfft``: n = 10,800 at pad 8, 2.4-2.5 against
+    0.9-1.4 ms; n = 10,798 at pad 1, 0.42 against 1.6-2.4 ms, 1.04-1.08 ms
+    unpacked; at pad 8, 2.4-2.6 against 16-19 ms).
     """
     n = series.values.shape[0]
     if n < _MIN_SAMPLES:
@@ -167,10 +207,10 @@ def fourier_spectrum(
     n_pad = n * int(zero_pad_factor)
     omega = 2.0 * np.pi * np.fft.rfftfreq(n_pad, d=series.h)
     m = omega.shape[0] if omega_max is None else int(np.count_nonzero(omega <= omega_max))
-    bins = _chirp_z(processed, n_pad, m)
+    bins = _head(processed, n_pad, m)
     while m < omega.shape[0] and _out_of_band(processed, bins, int(zero_pad_factor)) > _MAX_OUT_OF_BAND:
         m = min(2 * m, omega.shape[0])
-        bins = _chirp_z(processed, n_pad, m)
+        bins = _head(processed, n_pad, m)
     return SpectrumResult(
         omega=omega[:m],
         magnitude=np.abs(bins),

@@ -14,6 +14,7 @@ the trace as a sine amplitude.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -220,13 +221,17 @@ def pole_frequencies(delta0c: float, delta1c: float, omega1: float) -> tuple[flo
     return math.sqrt(-lam2_plus), math.sqrt(-lam2_minus)
 
 
+# K and K0 of the latest spectrum: its two poles each take both
+@functools.lru_cache(maxsize=2)
 def _kernel(tun: EffectiveTunneling, coeffs: WdaCoefficients, omega1: float, damped: bool = True) -> ExpSum:
     """The truncated kernel, or with ``damped=False`` its undamped part K0.
 
     The kernel is d0c^2*(1 - S1) + d1c^2*cos(w1 t)*(1 - S1)
     - d1s^2*sin(w1 t)*R1 with products reduced to single harmonics.  Each
     row (a, m, s) is Re(a * t**m * exp(s*t)): a cosine row has a real a,
-    a sine row an imaginary one.  The first two rows are K0.
+    a sine row an imaginary one.  The first two rows are K0.  Both are
+    kept per (tun, coeffs, omega1), so a spectrum builds each once, and
+    a pole search's every step takes the same kernel.
     """
     d0, d1c, d1s = tun.delta0c**2, tun.delta1c**2, tun.delta1s**2
     a, b, c, v = coeffs.A, coeffs.B, coeffs.C, coeffs.V

@@ -146,11 +146,12 @@ def test_band_transform_matches_the_full_fft(rng, n, pad, window):
 
 # numpy runs n_pad = 10,798 = 2 * 5399, 86,384 = 16 * 5399, 81,440 =
 # 32 * 5 * 509 and the prime 12,007 by its own Bluestein, and the others
-# (largest prime factors 43, 2, 167 and 167) directly; the chirp-z plan
-# serves every one
+# (largest prime factors 43, 2, 167, 167 and 13) directly; one chirp-z
+# plan serves every one, at half the length for an even n_pad (1001 * 2:
+# odd n, even n_pad)
 @pytest.mark.parametrize("n, pad", [
     (10_798, 1), (10_798, 8), (10_180, 8), (81_440, 1), (12_007, 1),
-    (2408, 1), (4096, 1), (10_187, 1), (10_187, 8), (81_496, 1),
+    (2408, 1), (4096, 1), (10_187, 1), (10_187, 8), (81_496, 1), (1001, 2),
 ])
 def test_full_band_routed_lengths_match_the_rfft(rng, n, pad):
     series = _series(rng.standard_normal(n))
@@ -167,16 +168,63 @@ def test_a_kept_plan_gives_the_bytes_of_a_new_one(omega_max):
     t = 0.05 * np.arange(10_798)
     series = _series(np.exp(-0.01 * t) * (np.cos(0.85 * t) + 0.5 * np.cos(1.18 * t)))
     spectrum._bluestein_plan.cache_clear()
+    spectrum._twiddle.cache_clear()
     new = fourier_spectrum(series, zero_pad_factor=8, omega_max=omega_max)
     kept = fourier_spectrum(series, zero_pad_factor=8, omega_max=omega_max)
     info = spectrum._bluestein_plan.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert kept.magnitude.tobytes() == new.magnitude.tobytes()
-    m = new.omega.size
-    for array in spectrum._bluestein_plan(10_798, 8 * 10_798, m):
+    n_pad = 8 * 10_798
+    if omega_max is None:
+        # the full band packs the 10,798 samples into 5,399 pairs and takes
+        # their n_pad/2-point DFT, then unpacks it with the kept twiddle
+        twiddle = spectrum._twiddle.cache_info()
+        assert (twiddle.misses, twiddle.hits) == (1, 1)
+        used = [*spectrum._bluestein_plan(5399, n_pad // 2, n_pad // 2), spectrum._twiddle(n_pad)]
+    else:
+        assert spectrum._twiddle.cache_info().currsize == 0
+        used = spectrum._bluestein_plan(10_798, n_pad, new.omega.size)
+    # the arrays just fetched are the kept ones: no plan was built for them
+    assert spectrum._bluestein_plan.cache_info().misses == 1
+    assert spectrum._twiddle.cache_info().misses == (omega_max is None)
+    for array in used:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+def test_an_odd_full_band_is_the_chirp_z_of_the_trace(rng):
+    # n_pad = 12,007 cannot be packed in pairs, so its full band is the
+    # chirp-z transform of the trace itself
+    series = _series(rng.standard_normal(12_007))
+    result = fourier_spectrum(series)
+    x = series.values - series.values.mean()
+    assert result.magnitude.tobytes() == np.abs(spectrum._chirp_z(x, 12_007, 6004)).tobytes()
+
+
+def test_a_band_widened_to_the_full_band_is_the_packed_transform(rng):
+    # white noise fills every bin up to Nyquist, so the band doubles to the full band
+    series = _series(rng.standard_normal(2000))
+    spectrum._twiddle.cache_clear()
+    widened = fourier_spectrum(series, "hann", 8, omega_max=0.5)
+    assert widened.omega.size == widened.n_pad // 2 + 1 and spectrum._twiddle.cache_info().misses == 1
+    full = fourier_spectrum(series, "hann", 8)
+    assert widened.omega.tobytes() == full.omega.tobytes()
+    assert widened.magnitude.tobytes() == full.magnitude.tobytes()
+
+
+@pytest.mark.parametrize("n, pad", [(100, 1), (100, 2), (101, 2)])
+def test_a_packed_full_band_finds_a_line_in_its_last_bin(n, pad):
+    # the 3.13 line and its alias 2*pi - 3.13 meet in the last bin, at
+    # Nyquist; the bin past it is its mirror, bin n_pad/2 - 1
+    t = np.arange(float(n))
+    result = fourier_spectrum(_series(np.cos(0.3 * t) + np.cos(3.13 * t), 1.0), zero_pad_factor=pad)
+    m = result.omega.size
+    assert result.n_pad % 2 == 0 and m == result.n_pad // 2 + 1 and result.omega[-1] == np.pi
+    assert result.magnitude[-1] > result.magnitude[m - 2] == result.magnitude[result.n_pad - m]
+    peaks = peak_extract(result, 2)
+    assert (peaks[0].omega, peaks[0].height) == (np.pi, result.magnitude[-1])
+    assert abs(peaks[1].omega - 0.3) <= result.resolution
 
 
 def test_a_band_at_or_past_nyquist_is_the_full_rfft(rng):

@@ -8,7 +8,9 @@ from scipy.special import i0
 
 from effbath.correlation import wda_coefficients, wda_split
 from effbath.errors import ComplexFrequencyError, RegimeWarning
+from effbath import wda
 from effbath.params import build_params, derived_scales
+from effbath.scenarios import FIGURE_PARAMS
 from effbath.wda import (
     ExpSum,
     _i0,
@@ -238,6 +240,27 @@ def test_decay_rates_match_population_envelope(fig3_params, fig3_series):
         return -slope
 
     assert fitted_rate(fig3_series.values) == pytest.approx(fitted_rate(analytic), rel=0.2)
+
+
+def test_a_spectrum_builds_its_kernel_once(fig3_params):
+    # K and K0 are built by the first pole and taken again by the second
+    _kernel.cache_clear()
+    build_wda_spectrum(fig3_params)
+    info = _kernel.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+
+
+def test_kept_kernels_give_the_spectrum_of_rebuilt_ones(monkeypatch):
+    # 64 points drawn as the benchmark sweep draws them at seed 1, and every
+    # figure set with its linear twin: every field bit for bit
+    rng = np.random.default_rng(1)
+    raws = [dict(FIGURE_PARAMS["fig3"], g=rng.uniform(0.002, 0.2), alpha=rng.uniform(0.0, 0.05),
+                 beta=rng.uniform(5.0, 20.0), Delta=rng.uniform(0.8, 1.2)) for _ in range(64)]
+    params = [build_params(raw) for raw in raws]
+    params += [q for raw in FIGURE_PARAMS.values() for q in (build_params(raw), build_params(raw).with_alpha(0.0))]
+    kept = [repr(dataclasses.astuple(build_wda_spectrum(p))) for p in params]
+    monkeypatch.setattr(wda, "_kernel", _kernel.__wrapped__)
+    assert [repr(dataclasses.astuple(build_wda_spectrum(p))) for p in params] == kept
 
 
 def test_first_order_pole_is_the_slope_of_the_exact_root(fig3_params):
