@@ -216,12 +216,10 @@ def test_a_band_widened_to_the_full_band_is_the_packed_transform(rng):
 @pytest.mark.parametrize("n, pad", [(100, 1), (100, 2), (101, 2)])
 def test_a_packed_full_band_finds_a_line_in_its_last_bin(n, pad):
     # the 3.13 line and its alias 2*pi - 3.13 meet in the last bin, at
-    # Nyquist; the bin past it is its mirror, bin n_pad/2 - 1
+    # Nyquist; the bin past it is its mirror, the bin before it
     t = np.arange(float(n))
     result = fourier_spectrum(_series(np.cos(0.3 * t) + np.cos(3.13 * t), 1.0), zero_pad_factor=pad)
-    m = result.omega.size
-    assert result.n_pad % 2 == 0 and m == result.n_pad // 2 + 1 and result.omega[-1] == np.pi
-    assert result.magnitude[-1] > result.magnitude[m - 2] == result.magnitude[result.n_pad - m]
+    assert result.n_pad % 2 == 0 and result.omega.size == result.n_pad // 2 + 1 and result.omega[-1] == np.pi
     peaks = peak_extract(result, 2)
     assert (peaks[0].omega, peaks[0].height) == (np.pi, result.magnitude[-1])
     assert abs(peaks[1].omega - 0.3) <= result.resolution

@@ -6,9 +6,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import i0
 
+from effbath import wda
 from effbath.correlation import wda_coefficients, wda_split
 from effbath.errors import ComplexFrequencyError, RegimeWarning
-from effbath import wda
 from effbath.params import build_params, derived_scales
 from effbath.scenarios import FIGURE_PARAMS
 from effbath.wda import (
