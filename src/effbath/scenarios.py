@@ -20,7 +20,7 @@ from .gme import TimeSeries, simulate_population
 from .params import SystemParams, convert_couplings, derived_scales, regime_flags
 from .spectral import (
     density_peak,
-    geff,
+    geff_function,
     linear_effective_density,
     nonlinear_effective_density,
     ohmic_density,
@@ -29,7 +29,8 @@ from .spectral import (
 from .spectrum import SpectrumResult, fourier_spectrum, peak_extract
 from .wda import bloch_siegert_shift, build_wda_spectrum, expansion_branch, wda_population
 
-__all__ = ["FIGURE_PARAMS", "SPECTRUM_BAND", "run_scenario"]
+__all__ = ["FIGURE_PARAMS", "SPECTRUM_BAND", "correlation_table", "peak_entries", "run_scenario", "spectral_table",
+           "wda_entries", "write_correlation_csv", "write_csv", "write_summary"]
 
 _FIG3 = {
     "Omega": 1.0,
@@ -142,7 +143,7 @@ def _spectral_columns(p: SystemParams, omega: np.ndarray):
         linear_effective_density(omega, gbar, p.gamma, p.Omega, p.M),
         nonlinear_effective_density(omega, p, scales),
         susceptibility_imag(omega, p, scales),
-        geff(omega, p, scales),
+        geff_function(p, scales)(omega),
     ]
 
 

@@ -18,7 +18,6 @@ __all__ = [
     "linear_effective_density",
     "susceptibility_imag",
     "nonlinear_effective_density",
-    "geff",
     "geff_function",
     "density_peak",
 ]
@@ -66,9 +65,9 @@ def nonlinear_effective_density(omega_ex, p: SystemParams, scales: DerivedScales
     in omega_ex.  Must coincide with -gbar**2 * susceptibility_imag to
     machine precision.
 
-    A Python float is computed in floats and returns a float, as in
-    ``geff``; ``density_peak``'s golden-section search calls it that way.
-    Both paths square by a product, so they agree bit for bit.
+    A Python float is computed in floats and returns a float, as
+    ``geff_function``'s G does; ``density_peak``'s golden-section search
+    calls it that way.  Both paths square by a product, so they agree bit for bit.
     """
     w = omega_ex if isinstance(omega_ex, float) else np.asarray(omega_ex, dtype=float)
     gbar, _ = convert_couplings(p)
@@ -85,29 +84,21 @@ def nonlinear_effective_density(omega_ex, p: SystemParams, scales: DerivedScales
     return num / den
 
 
-def geff(omega, p: SystemParams, scales: DerivedScales):
-    """Coupling-weighted spectral function entering the bath correlation.
+def geff_function(p: SystemParams, scales: DerivedScales):
+    """Coupling-weighted spectral function G(omega) entering the bath correlation.
 
     G = 2*varsigma*Omega**2 * omega * (2*Omega1/(|omega|+Omega1))
         / (gammabar**2 + (|omega|-Omega1)**2).
     Equals q0**2*J_eff/(pi*hbar) up to the first-order-in-alpha reduction
     Omega1*n1**2 ~ Omega; independent of q0.
 
-    A Python float is computed in floats and returns a float; anything
-    else is computed as a numpy array.  Both run ``geff_function``'s
-    operations in the same order, except that a float squares by pow() and
-    an array by a product, which can differ in the last bit.
-    """
-    w = omega if isinstance(omega, float) else np.asarray(omega, dtype=float)
-    return geff_function(p, scales)(w)
-
-
-def geff_function(p: SystemParams, scales: DerivedScales):
-    """G(omega) of ``geff`` as a one-argument function, its constants bound once.
-
+    Returned as a one-argument function with its constants bound once.
     The quadrature oracle calls it once per node with a Python float, where
     an attribute lookup per constant, or numpy's per-call cost, would
-    dominate; given a numpy array it computes elementwise.
+    dominate; a float in gives a float out.  Given a numpy array it
+    computes elementwise, in the same order of operations, except that a
+    float squares by pow() and an array by a product, which can differ in
+    the last bit.
     """
     om1 = scales.Omega1
     two_om1 = 2.0 * om1

@@ -205,7 +205,8 @@ def pole_frequencies(delta0c: float, delta1c: float, omega1: float) -> tuple[flo
     Roots of lambda**4 + (d0^2 + d1^2 + Om1^2)*lambda**2 + d0^2*Om1^2 = 0,
     written with the radicand grouped as
     ((d0^2 - Om1^2)/2)^2 + (d1^2/2)*(d0^2 + d1^2/2 + Om1^2) so it is
-    manifestly nonnegative.  Omega_minus > Omega_plus.
+    manifestly nonnegative.  Omega_minus > Omega_plus; Omega_plus is +0 at
+    delta0c = 0 (no tunneling), and elsewhere a root lambda**2 = 0 is rounding and raises.
     """
     d0_sq = delta0c**2
     d1_sq = delta1c**2
@@ -214,11 +215,11 @@ def pole_frequencies(delta0c: float, delta1c: float, omega1: float) -> tuple[flo
     root = math.sqrt(radicand)
     lam2_plus = -half_sum + root
     lam2_minus = -half_sum - root
-    if lam2_plus >= 0.0 or lam2_minus >= 0.0:
+    if lam2_plus > 0.0 or (lam2_plus == 0.0 and delta0c != 0.0) or lam2_minus >= 0.0:
         raise ComplexFrequencyError(
             f"pole equation gives non-oscillatory roots: lambda^2 = {lam2_plus:.3g}, {lam2_minus:.3g}"
         )
-    return math.sqrt(-lam2_plus), math.sqrt(-lam2_minus)
+    return math.sqrt(abs(lam2_plus)), math.sqrt(-lam2_minus)
 
 
 # K and K0 of the latest spectrum: its two poles each take both
@@ -332,11 +333,11 @@ def first_order_pole(
     imaginary.  The pair contributes
     exp(-gamma*kappa*t) * (weight*cos(omega*t) + sine*sin(omega*t))
     with sine = -2*Im(r1).  An undamped run, a decoupled qubit (W = 0,
-    so K1 = 0) and a pole of weight 0 each return (0, 0) without taking
-    the transform, whose own pole at Omega1 is where a weight-0 pole, or
-    a decoupled qubit's pole, can sit.
+    so K1 = 0), a qubit with no tunneling (delta0c = 0, so K = 0) and a
+    pole of weight 0 each return (0, 0) without taking the transform,
+    whose own poles at 0 and Omega1 are where such a pole can sit.
     """
-    if gamma == 0.0 or weight == 0.0 or coeffs.W == 0.0:
+    if gamma == 0.0 or weight == 0.0 or coeffs.W == 0.0 or tun.delta0c == 0.0:
         return 0.0, 0.0
     lam = 1j * omega
     value, deriv = kernel_laplace(lam, tun, coeffs, omega1)

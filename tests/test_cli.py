@@ -3,6 +3,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -619,6 +620,11 @@ def _modules_after(tmp_path, code, prefixes=("scipy",)):
 def test_import_loads_no_scipy(tmp_path):
     # nor numpy.fft: the transform plans and twiddles are built on first use
     assert _modules_after(tmp_path, "import effbath, effbath.cli", ("scipy", "numpy.fft")) == "[]"
+    # the package root binds the params layer alone, which needs no numpy
+    assert _modules_after(tmp_path, "import effbath", ("numpy",)) == "[]"
+    public = {name for name, value in vars(effbath).items()
+              if not isinstance(value, ModuleType) and (not name.startswith("_") or name == "__version__")}
+    assert public == {"build_params", "derived_scales", "__version__"}
 
 
 @pytest.mark.parametrize("tag", sorted(FIGURE_PARAMS))

@@ -153,16 +153,16 @@ def test_quadrature_vs_closed_form_single_point(fig3_params, fig3_scales):
 
 @pytest.mark.parametrize("tau", [1.0, 2.0 * math.pi, 12.0])
 def test_quadrature_float_integrand_matches_array_path(fig3_params, fig3_scales, tau):
-    # the evaluator's per-node G runs in floats; an integrand through geff's
+    # the evaluator's per-node G runs in floats; an integrand through G's
     # numpy path must give the same S and R bit for bit.  At tau = 12 the
     # first knot is 2*pi/tau, below the peak window, so a0 moves.
     p, s = fig3_params, fig3_scales
     if tau == 12.0:
         assert tau > 2.0 * math.pi / (s.Omega1 - 5.0 * s.gammabar)
-    from effbath.spectral import geff
+    from effbath.spectral import geff_function
 
     def array_path(w):
-        return geff(np.array([w]), p, s)[0]
+        return geff_function(p, s)(np.array([w]))[0]
 
     expected = correlation_quadrature(tau, array_path, p.beta, peak=s.Omega1, peak_width=s.gammabar)
     assert quadrature_correlation(p, s).pair(tau) == expected
@@ -171,14 +171,14 @@ def test_quadrature_float_integrand_matches_array_path(fig3_params, fig3_scales,
 def test_one_evaluator_over_a_grid_matches_the_array_path(fig3_params, fig3_scales):
     # one evaluator reuses its tau-independent pieces across the grid, over both
     # knot layouts (tau = 12 and 20 lie past 2*pi/(Omega1 - 5*gammabar)); S and R
-    # must equal, bit for bit, a fresh integration of each tau through geff's numpy path
+    # must equal, bit for bit, a fresh integration of each tau through G's numpy path
     p, s = fig3_params, fig3_scales
     grid = np.array([1.0, 2.0 * math.pi, 12.0, 20.0, 3.0])
     assert (grid > 2.0 * math.pi / (s.Omega1 - 5.0 * s.gammabar)).sum() == 2
-    from effbath.spectral import geff
+    from effbath.spectral import geff_function
 
     def array_path(w):
-        return geff(np.array([w]), p, s)[0]
+        return geff_function(p, s)(np.array([w]))[0]
 
     s_val, r_val = quadrature_correlation(p, s).pair(grid)
     for i, tau in enumerate(grid.tolist()):
@@ -337,10 +337,9 @@ def test_interpolated_correlation_warns_when_it_gives_up_the_fit(fig3_params, fi
 
 
 def test_quadrature_nonconvergence_reports_achieved(fig3_params, fig3_scales):
-    from functools import partial
-    from effbath.spectral import geff
+    from effbath.spectral import geff_function
 
-    fn = partial(geff, p=fig3_params, scales=fig3_scales)
+    fn = geff_function(fig3_params, fig3_scales)
     with pytest.raises(QuadratureNonConvergence) as err:
         correlation_quadrature(2.0, fn, fig3_params.beta, atol=1e-16,
                                peak=fig3_scales.Omega1, peak_width=fig3_scales.gammabar)

@@ -1,5 +1,6 @@
 """Exact invariances of the model: changes of the inputs that must leave P(t) bit for bit as it is."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -35,3 +36,15 @@ def test_p_is_bit_identical_under(tag, change):
     assert niba_changed.shape == niba.shape  # the same number of steps
     assert niba_changed.tobytes() == niba.tobytes()
     assert wda_changed.tobytes() == wda.tobytes()
+
+
+@pytest.mark.parametrize("tag", ["fig3", "fig5"])
+def test_p_stays_one_without_tunneling(tag):
+    # Delta = 0: the qubit cannot leave its well, the kernels vanish, and the
+    # march and the weak-damping solution (its static pole at 0 with weight 1) give P = 1 exactly
+    p = replace(build_params(FIGURE_PARAMS[tag]), Delta=0.0)
+    niba, wda = _traces(p)
+    assert (niba == 1.0).all() and (wda == 1.0).all()
+    spectrum = build_wda_spectrum(p)
+    assert (spectrum.weight_plus, spectrum.kappa_plus, spectrum.sine_plus) == (1.0, 0.0, 0.0)
+    assert math.copysign(1.0, spectrum.omega_plus) == 1.0  # 0, not -0, in the summary

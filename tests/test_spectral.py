@@ -6,7 +6,7 @@ import pytest
 from effbath.params import build_params, convert_couplings, derived_scales
 from effbath.spectral import (
     density_peak,
-    geff,
+    geff_function,
     linear_effective_density,
     nonlinear_effective_density,
     ohmic_density,
@@ -187,10 +187,10 @@ def test_height_ratio_thermal_factor_finite_temperature():
 
 def test_geff_values(fig3_params, fig3_scales):
     p, s = fig3_params, fig3_scales
-    assert geff(s.Omega1, p, s) == pytest.approx(
+    assert geff_function(p, s)(s.Omega1) == pytest.approx(
         2 * s.varsigma * p.Omega**2 * s.Omega1 / s.gammabar**2, rel=1e-12
     )
-    assert geff(0.0, p, s) == 0.0
+    assert geff_function(p, s)(0.0) == 0.0
 
 
 def test_geff_float_path_matches_array_path(fig3_params, fig3_scales):
@@ -198,9 +198,9 @@ def test_geff_float_path_matches_array_path(fig3_params, fig3_scales):
     # give the same bits
     p, s = fig3_params, fig3_scales
     ws = [0.0, s.Omega1, -s.Omega1, -0.3, 900.0]
-    as_array = geff(np.array(ws), p, s)
+    as_array = geff_function(p, s)(np.array(ws))
     for w, expected in zip(ws, as_array):
-        value = geff(w, p, s)
+        value = geff_function(p, s)(w)
         assert type(value) is float
         assert value == expected
 
@@ -212,4 +212,4 @@ def test_geff_matches_scaled_density(fig3_params, fig3_scales):
     w = np.linspace(0.01, 2.0, 500)
     q0 = s.y0
     reduced = q0**2 * nonlinear_effective_density(w, p, s) / math.pi
-    np.testing.assert_allclose(geff(w, p, s), reduced, rtol=0.02)
+    np.testing.assert_allclose(geff_function(p, s)(w), reduced, rtol=0.02)

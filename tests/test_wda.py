@@ -79,8 +79,11 @@ def test_pole_frequencies_quartic_residual(fig3_params, fig5_params):
 
 
 def test_pole_frequencies_degenerate_error():
-    with pytest.raises(ComplexFrequencyError):
-        pole_frequencies(0.0, 0.0, 1.0)
+    # delta0c = 0 has the exact root lambda = 0 (test_invariance's Delta = 0);
+    # a nonzero delta0c whose lambda^2 rounds to 0, or Omega1 = 0 too, has none
+    for degenerate in ((1e-9, 0.0, 1.0), (0.0, 0.0, 0.0)):
+        with pytest.raises(ComplexFrequencyError):
+            pole_frequencies(*degenerate)
 
 
 def test_dressed_resonance_exact_splitting(fig3_params):
