@@ -1,7 +1,8 @@
 """Bath correlation function Q(tau) = S(tau) + i*R(tau), three ways.
 
 * ``quadrature_correlation``: adaptive quadrature of the defining
-  frequency integral (oracle), one ``correlation_quadrature`` per tau;
+  frequency integral (oracle), one ``correlation_quadrature`` per tau,
+  with G(w)/w^2 computed once per node of its tau-independent pieces;
   ``interpolated_correlation`` integrates only at Chebyshev nodes and
   interpolates the smooth quadrature-minus-closed-form difference, for
   the march's kernels;
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -111,6 +113,39 @@ def wda_split(tau, coeffs: WdaCoefficients, scales: DerivedScales):
     return s0, s1, r0, r1
 
 
+class _OverSquare(dict):
+    """f = G(w)/w^2 by node w, computed on the first request."""
+
+    __slots__ = ("geff",)
+
+    def __init__(self, geff):
+        self.geff = geff
+
+    def __missing__(self, w):
+        value = self[w] = self.geff(w) / w**2
+        return value
+
+
+class _TimesCoth(dict):
+    """f*coth(beta*w/2) by node w, computed from the f table on the first request."""
+
+    __slots__ = ("f", "half_beta")
+
+    def __init__(self, f, half_beta):
+        self.f = f
+        self.half_beta = half_beta
+
+    def __missing__(self, w):
+        value = self[w] = self.f[w] * _coth(self.half_beta * w)
+        return value
+
+
+def _node_tables(geff, half_beta):
+    """Empty tables of f = G/w^2 and of f*coth(beta*w/2), the second filled from the first."""
+    f = _OverSquare(geff)
+    return f, _TimesCoth(f, half_beta)
+
+
 def correlation_quadrature(
     tau: float,
     geff_fn: Callable,
@@ -133,7 +168,10 @@ def correlation_quadrature(
     QuadratureNonConvergence with the achieved error estimate, and
     QUADPACK's own messages, when the combined estimate exceeds ``atol``;
     within ``atol`` QUADPACK's warnings are issued again after the
-    integrals.
+    integrals.  A ``geff_fn`` that carries a ``node_values`` dict, as the
+    evaluator's G does, keeps there by beta its values at the nodes of the
+    pieces whose ends do not depend on tau; any other gets them for this
+    call alone.
     """
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
@@ -141,24 +179,21 @@ def correlation_quadrature(
         return 0.0, 0.0
     from scipy.integrate import IntegrationWarning, quad  # here, so the package imports without scipy
 
-    # each node runs one integrand frame around G: G/w^2, coth(beta*w/2) and
-    # cos/sin(w*tau) inline, in the order of f = G/w^2, f*coth, f*coth*(1 - cos)
+    # QUADPACK reads f = G/w^2 and f*coth(beta*w/2) from tables that compute a
+    # node on its first request and look it up, in C, on every later one.  A
+    # piece whose ends do not depend on tau reads the tables the evaluator's G
+    # carries, which hold G weakly; a piece from or to 2*pi/tau reads this
+    # tau's own.  A G that carries none gets tables for this call
     half_beta = 0.5 * beta
-    cos, sin, expm1 = math.cos, math.sin, math.expm1
-
-    def f(w):
-        return geff_fn(w) / w**2
-
-    def f_coth(w):
-        x = half_beta * w
-        return geff_fn(w) / w**2 * (1.0 if x > 350.0 else 1.0 + 2.0 / expm1(2.0 * x))
-
-    def s_integrand(w):
-        x = half_beta * w
-        return geff_fn(w) / w**2 * (1.0 if x > 350.0 else 1.0 + 2.0 / expm1(2.0 * x)) * (1.0 - cos(w * tau))
-
-    def r_integrand(w):
-        return geff_fn(w) / w**2 * sin(w * tau)
+    own = _node_tables(geff_fn, half_beta)
+    by_beta = getattr(geff_fn, "node_values", None)
+    if by_beta is None:
+        shared = own
+    else:
+        shared = by_beta.get(beta)
+        if shared is None:
+            shared = by_beta[beta] = _node_tables(weakref.proxy(geff_fn), half_beta)
+    cos, sin = math.cos, math.sin
 
     # knots: stay below one oscillation period before splitting off cos/sin;
     # the [0, a0] pieces use plain quadrature (interior nodes only) because
@@ -173,6 +208,15 @@ def correlation_quadrature(
     else:
         knots = []
     edges = [a0] + knots + [omega_max]
+
+    # [0, a0] ends where the first piece past it starts, at 2*pi/tau or not
+    f_0, f_coth_0 = own if a0 == period else shared
+
+    def s_integrand(w):
+        return f_coth_0[w] * (1.0 - cos(w * tau))
+
+    def r_integrand(w):
+        return f_0[w] * sin(w * tau)
 
     eps = atol / (4 + 3 * len(edges))
     # the evaluator's G carries a memo of the smooth pieces int_lo^hi f*coth;
@@ -190,6 +234,7 @@ def correlation_quadrature(
         warnings.simplefilter("always", IntegrationWarning)
         s_val, total_err = piece(s_integrand, 0.0, a0)
         for lo, hi in zip(edges[:-1], edges[1:]):
+            f_coth = (own if lo == period else shared)[1].__getitem__
             key = (beta, lo, hi, eps)
             if key in memo:
                 smooth, err1 = memo[key]
@@ -205,6 +250,7 @@ def correlation_quadrature(
         r_val, err = piece(r_integrand, 0.0, a0)
         total_err += err
         for lo, hi in zip(edges[:-1], edges[1:]):
+            f = (own if lo == period else shared)[0].__getitem__
             value, err = piece(f, lo, hi, weight="sin", wvar=tau)
             r_val += value
             total_err += err
@@ -276,19 +322,26 @@ def quadrature_correlation(
     The smooth pieces int G/w^2*coth(beta*w/2) between the knots do not
     depend on tau: each that QUADPACK integrates without a warning is
     integrated once per evaluator and reused, with the same bits, by every
-    later tau with the same knots.
+    later tau with the same knots.  Nor do the nodes QUADPACK places on
+    pieces whose ends do not depend on tau: G(w)/w^2 and its product with
+    coth(beta*w/2) are computed once per node and evaluator and looked up
+    by every later piece and tau, again with the same bits.  Nodes of the
+    pieces from or to 2*pi/tau are kept for that tau alone, so the
+    evaluator's tables stop growing after a few thousand nodes.
     gamma = 0, where G(omega) is a line, raises ZeroDampingError.
     """
     if scales.gammabar == 0.0:
         raise ZeroDampingError(f"gamma = {p.gamma}: undamped, G(omega) is a line at Omega1, which no quadrature"
                                " resolves; the closed-form evaluator takes gamma = 0")
 
-    # G's constants are bound once, and G is called once per node from inside
-    # the integrand; the memo it carries holds the smooth pieces.  Each tau
-    # looks correlation_quadrature up in this module, so perfbench's tracer
-    # counts every tau
+    # G's constants are bound once; G carries the memo of the smooth pieces
+    # and the tables of its values at the nodes, so it is called once per
+    # node this evaluator's tau-independent pieces ask for.  Each tau looks
+    # correlation_quadrature up in this module, so perfbench's tracer counts
+    # every tau
     geff_fn = geff_function(p, scales)
     geff_fn.smooth_pieces = {}
+    geff_fn.node_values = {}
 
     def one(tau):
         return correlation_quadrature(tau, geff_fn, p.beta, atol=atol, peak=scales.Omega1,

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .correlation import closed_form_correlation, quadrature_correlation, wda_coefficients, wda_split
-from .errors import NonPositiveError, ZeroDampingError
+from .errors import NonPositiveError, NoPeaksError, ZeroDampingError
 from .gme import TimeSeries, simulate_population
 from .params import SystemParams, convert_couplings, derived_scales, regime_flags
 from .spectral import (
@@ -242,7 +242,9 @@ def run_scenario(tag: str, params: SystemParams) -> dict:
     only picked for its peak keys, asks for the band omega <= 3*Omega;
     ``fourier_spectrum`` widens a band that leaves a line outside, so a
     run whose lines lie higher (a large Delta, or the multi-phonon lines
-    of a strong g) ends further out.  The figure sets end at 3*Omega.
+    of a strong g) ends further out.  The figure sets end at 3*Omega.  A
+    spectrum without a line, as at Delta = 0, where P stays 1, keeps its
+    ``fft_bin`` and a ``peak_shortage`` of 1 and names no peak.
     An unknown tag raises ValueError before anything is computed, and so
     does "custom" at gamma = 0, whose spectral table it cannot hold
     (ZeroDampingError).
@@ -282,7 +284,11 @@ def run_scenario(tag: str, params: SystemParams) -> dict:
                     bundle[f"spectrum_{kind}{suffix}.csv"] = (["omega", "magnitude"], [spec.omega, spec.magnitude])
             summary.update({prefix + key: value for key, value in wda_entries(spectrum, prm).items()})
             # a run without twins names its peak keys after the trace they come from
-            summary.update(peak_entries(result, _N_PEAKS, prefix or "niba_"))
+            peak_prefix = prefix or "niba_"
+            try:
+                summary.update(peak_entries(result, _N_PEAKS, peak_prefix))
+            except NoPeaksError:
+                summary.update({f"{peak_prefix}fft_bin": result.resolution, f"{peak_prefix}peak_shortage": True})
         if tag == "custom":
             bundle["spectral.csv"] = spectral_table(params)
 

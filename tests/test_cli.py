@@ -151,6 +151,20 @@ def test_custom_pipeline(tmp_path):
         assert (out / name).exists()
 
 
+def test_custom_at_zero_tunneling_writes_its_bundle(tmp_path):
+    # at Delta = 0 both traces hold P = 1, so the NIBA spectrum has no line:
+    # the summary keeps its bin width and the shortage, and names no peak
+    cfg = tmp_path / "frozen.cfg"
+    cfg.write_text("".join(f"{key}={value}\n" for key, value in dict(FIGURE_PARAMS["fig3"], Delta=0.0).items()))
+    out = tmp_path / "out"
+    assert main(["custom", "--config", str(cfg), "--out", str(out)]) == 0
+    for name in ("spectral.csv", "P_niba.csv", "P_wda.csv", "spectrum_niba.csv", "spectrum_wda.csv"):
+        assert (out / name).exists()
+    summary = dict(line.split("=") for line in (out / "summary.txt").read_text().splitlines())
+    assert float(summary["niba_fft_bin"]) > 0.0 and summary["niba_peak_shortage"] == "1"
+    assert not any(key.startswith("niba_peak") and key != "niba_peak_shortage" for key in summary)
+
+
 def test_strict_regime_violation_exit_code(tmp_path):
     cfg = tmp_path / "hot.cfg"
     cfg.write_text("Omega=1\nalpha=0.02\ng=1.5\ngamma=0.1\nbeta=10\nDelta=1\nepsilon=0\n")

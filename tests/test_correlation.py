@@ -1,4 +1,7 @@
+import collections
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -242,6 +245,75 @@ def test_a_smooth_piece_that_warned_is_integrated_again():
         with pytest.warns(IntegrationWarning, match="probably divergent"):
             results.append(correlation_quadrature(1.0, steep, 10.0, atol=1e6, peak=5.0, peak_width=0.1))
     assert results[0] == results[1] and len(steep.smooth_pieces) == 1
+
+
+def counting_geff(monkeypatch):
+    """Give each new evaluator a G that records its nodes; returns (nodes, each G made)."""
+    nodes, made = [], []
+    real = correlation.geff_function
+
+    def make(p, s):
+        g = real(p, s)
+
+        def counted(w):
+            nodes.append(w)
+            return g(w)
+
+        made.append(counted)
+        return counted
+
+    monkeypatch.setattr(correlation, "geff_function", make)
+    return nodes, made
+
+
+def test_one_evaluator_calls_g_once_per_node(fig3_params, fig3_scales, monkeypatch):
+    # the oracle's 31-tau grid.  Below 2*pi/(Omega1 - 5*gammabar) every piece is
+    # tau-independent, and G runs once per distinct node.  Past it, a node
+    # repeats only where the pieces of two tau alone meet: at some 2*pi/tau, or
+    # at Omega1 - 5*gammabar as two Clenshaw-Curtis rules round it
+    nodes, _ = counting_geff(monkeypatch)
+    p, s = fig3_params, fig3_scales
+    edge = s.Omega1 - 5.0 * s.gammabar
+    grid = np.linspace(0.0, 30.0, 31)
+    shared_only = grid < 2.0 * math.pi / edge
+    fn = quadrature_correlation(p, s)
+    fn.pair(grid[shared_only])
+    assert len(nodes) == len(set(nodes)) > 0
+    fn.pair(grid[~shared_only])
+    repeated = [w for w, n in collections.Counter(nodes).items() if n > 1]
+    assert len(nodes) - len(set(nodes)) < 0.01 * len(nodes)
+    assert all(w <= edge * (1.0 + 1e-15) for w in repeated)
+
+
+def test_deleting_an_evaluator_frees_its_g_without_the_cyclic_gc(fig3_params, fig3_scales, monkeypatch):
+    # the node tables G carries hold G weakly, so no reference cycle waits for the collector
+    _, made = counting_geff(monkeypatch)
+    gc.disable()
+    try:
+        fn = quadrature_correlation(fig3_params, fig3_scales)
+        fn.pair(1.0)
+        geff = made.pop()
+        f, f_coth = geff.node_values[fig3_params.beta]
+        assert len(f) > 0 and len(f_coth) > 0
+        alive = weakref.ref(geff)
+        del geff, f, f_coth, fn
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_the_shared_tables_keep_no_node_of_a_tau_alone(fig3_params, fig3_scales, monkeypatch):
+    # every tau past 2*pi/(Omega1 - 5*gammabar) starts its pieces at 2*pi/tau,
+    # below Omega1 - 5*gammabar, in tables of its own; the shared ones keep only the rest
+    _, made = counting_geff(monkeypatch)
+    p, s = fig3_params, fig3_scales
+    edge = s.Omega1 - 5.0 * s.gammabar
+    grid = np.linspace(12.0, 30.0, 10)
+    assert grid.min() > 2.0 * math.pi / edge
+    quadrature_correlation(p, s).pair(grid)
+    f, f_coth = made[0].node_values[p.beta]
+    assert len(f) > 0 and len(f_coth) > 0
+    assert min(f) >= edge and min(f_coth) >= edge
 
 
 def test_every_evaluator_returns_the_shape_of_tau(fig3_params, fig3_scales):

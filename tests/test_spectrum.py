@@ -163,6 +163,16 @@ def test_full_band_routed_lengths_match_the_rfft(rng, n, pad):
     assert np.abs(result.magnitude - full).max() <= 1e-14 * full.max()
 
 
+@pytest.mark.parametrize("n_pad", [2, 4, 10, 202, 2002, 10_798, 86_384, 86_386])
+def test_the_twiddle_table_is_exp_taken_per_factor(n_pad):
+    # the table comes from two short exp tables; each factor stays within 1e-15 of its own exp
+    direct = np.exp(-2j * np.pi * np.arange(n_pad // 2 + 1) / n_pad)
+    spectrum._twiddle.cache_clear()
+    table = spectrum._twiddle(n_pad)
+    assert table.shape == direct.shape and not table.flags.writeable
+    assert np.abs(table - direct).max() <= 1e-15
+
+
 @pytest.mark.parametrize("omega_max", [None, 3.0], ids=["full_band", "band"])
 def test_a_kept_plan_gives_the_bytes_of_a_new_one(omega_max):
     t = 0.05 * np.arange(10_798)
