@@ -11,6 +11,7 @@ violation under --strict, 1 any other failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import os
 import sys
@@ -46,7 +47,13 @@ def _add_common(sub):
     sub.add_argument("--strict", action="store_true", help="fail on regime-flag violations")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every ``main`` call.
+
+    ``parse_args`` fills a new Namespace on each call, so one call's
+    arguments never reach the next; callers must not modify the parser.
+    """
     parser = argparse.ArgumentParser(prog="effbath", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
 

@@ -4,12 +4,17 @@ Every figure tag binds the exact caption parameter set; ``custom`` runs
 the same pipeline on user-supplied parameters.  This module computes
 bundles and writes nothing itself: ``write_csv`` and ``write_summary``
 format a table or a summary as plain CSV/key=value text with full double
-precision, so repeated runs are byte-identical, and the CLI calls them
-once a whole bundle exists.
+precision, each value as ``"%.17g"`` prints it, so repeated runs are
+byte-identical, and the CLI calls them once a whole bundle exists.
+``write_csv`` forms the text of a value in %g's fixed-notation range,
+1e-4 <= |x| < 1e15, in numpy from its exact 17 digits, and of any other
+value by ``"%.17g"`` itself.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -87,19 +92,183 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-# rows formatted by one % call; blocks bound the size of the string built at once
-_CSV_BLOCK_ROWS = 4096
+# write_csv prints each value as "%.17g" does.  %g prints 1e-4 <= |x| < 1e15 in
+# fixed notation, and _g17_text forms those values in numpy: the 17 correctly
+# rounded digits D = round(|x|*10**(16 - E)) by an exact integer multiply and
+# shift, as CPython's dtoa gets them (Adams, "Ryu revisited: printf floating
+# point conversion", 2019).  Every other value, 0, -0.0, |x| < 1e-4,
+# |x| >= 1e15, inf and nan, is formatted by "%.17g" itself and spliced in place.
+_FIXED_MIN, _FIXED_END = 1e-4, 1e15
+# a double in [1e-4, 1e15) is m*2**(e2 - 52) with 2**52 <= m < 2**53 and _E2_MIN <= e2 <= 49
+_E2_MIN = -14
+# the words of _g17_tables past the 4-digit ones
+_MINUS, _POINT, _COMMA, _NEWLINE = 10_000, 10_001, 10_002, 10_003
+# the keep row of a spliced text of length n is _SPLICED + n: the rows of the
+# 19 decades, 17 last digits and two signs come first
+_SPLICED = 19 * 17 * 2 - 1
+
+
+def _least_double_from(exp10: int) -> float:
+    """The least double >= 10**exp10 (exact integer comparison)."""
+    value = float(10**exp10) if exp10 >= 0 else 1 / 10**-exp10
+    num, den = value.as_integer_ratio()
+    if exp10 < 0 and num * 10**-exp10 < den:
+        value = math.nextafter(value, math.inf)
+    return value
+
+
+@functools.cache
+def _g17_tables() -> tuple:
+    """The read-only lookup tables of ``_g17_text``, built on first use.
+
+    A process that writes no block of ``_G17_MIN_VALUES`` values or more
+    never builds them.
+
+    [2**e2, 2**(e2 + 1)) holds at most one power of ten, so the decade E of
+    a double in it is ``decade[e2 - _E2_MIN]``, that of 2**e2,
+    floor(e2*log10(2)) (exact in floats: e2*log10(2) is 0 or over 0.01 from
+    an integer), or the next one from ``next_decade[e2 - _E2_MIN]`` on.
+    ``pow5`` holds 5**k for k = 16 - E <= 20, so m*5**k < 2**100.
+    ``words`` holds, as uint32, the 4 digits of 0..9999, then "-000",
+    "000." and the two separators; ``trailing_zeros`` the trailing zeros
+    of each 4-digit word, 4 for 0000.
+
+    Let Z be "0000" and then the 17 digits of D.  Each value gets a 52-byte
+    row of 13 words:
+
+        bytes  0..3   "-000"      the sign, and Z[0] at byte 3
+        bytes  4..23  Z[1..20]    so Z[c] is at byte 3 + c
+        bytes 24..27  "000."      the point at byte 27
+        bytes 28..47  Z[1..20]    again, so Z[c] is also at byte 27 + c
+        bytes 48..51  the separator at byte 48
+
+    %g prints the integer part Z[4 + min(E, 0) .. 4 + E] (a single 0 when
+    E < 0) and, when the last nonzero digit Z[4 + L] lies past it (L > E),
+    the point and the fraction Z[5 + E .. 4 + L].  ``keep`` marks those
+    bytes, the sign's when negative and the separator's, per (E, L, sign)
+    for E in -4..14 and L in 0..16.  Its last 24 rows keep the first 1..24
+    bytes and the separator, for the text "%.17g" gives a value outside
+    the range, written over the row's first bytes.
+    """
+    decade = np.array([math.floor(e2 * math.log10(2.0)) for e2 in range(_E2_MIN, 50)])
+    next_decade = np.array([_least_double_from(exp10 + 1) for exp10 in decade.tolist()])
+    pow5 = np.array([5**k for k in range(21)], dtype=np.uint64)
+    four = np.arange(10_000, dtype=np.uint16)
+    words = np.concatenate([
+        np.stack([four // 10**j % 10 for j in (3, 2, 1, 0)], axis=1).astype(np.uint8) + np.uint8(ord("0")),
+        np.frombuffer(b"-000000.,   \n   ", dtype=np.uint8).reshape(4, 4),
+    ]).view(np.uint32).ravel()
+    trailing_zeros = sum((four % 10**j == 0).astype(np.intp) for j in range(1, 5))
+    row = np.arange(52)
+    E = np.arange(-4, 15)[:, None, None, None]
+    L = np.arange(17)[None, :, None, None]
+    negative = np.arange(2)[None, None, :, None]
+    integer = (row >= 7 + np.minimum(E, 0)) & (row <= 7 + E)
+    fraction = (L > E) & (((row >= 32 + E) & (row <= 31 + L)) | (row == 27))
+    fixed = integer | fraction | (row == 48) | ((row == 0) & (negative == 1))
+    spliced = (row < np.arange(1, 25)[:, None]) | (row == 48)
+    keep = np.concatenate([fixed.reshape(-1, row.size), spliced])
+    tables = (decade, next_decade, pow5, words, trailing_zeros, keep)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _g17_text(block: np.ndarray) -> np.ndarray:
+    """The CSV text of a 2-D float block, as uint8: each value as "%.17g", then "," or a newline."""
+    decade, next_decade, pow5, words, trailing_zeros, keep = _g17_tables()
+    n = block.size
+    x = block.ravel()
+    ax = np.abs(x)
+    fixed = (ax >= _FIXED_MIN) & (ax < _FIXED_END)
+    a = np.where(fixed, ax, 1.0)  # the rest is computed on a stand-in and overwritten below
+    bits = a.view(np.uint64)
+    m = (bits & np.uint64(2**52 - 1)) | np.uint64(2**52)
+    biased = (bits >> np.uint64(52)).astype(np.intp)
+    at = biased - (1023 + _E2_MIN)
+    E = decade.take(at) + (a >= next_decade.take(at))
+    k = 16 - E
+    # |x|*10**k = m*5**k / 2**s, with 1 <= s <= 46
+    s = (1075 - biased - k).astype(np.uint64)
+    # m*5**k in two words (high, low), from 32-bit halves so no partial product wraps
+    p5 = pow5.take(k)
+    ph, pl = p5 >> np.uint64(32), p5 & np.uint64(0xFFFFFFFF)
+    mh, ml = m >> np.uint64(32), m & np.uint64(0xFFFFFFFF)
+    lo = ml * pl
+    mid = ml * ph + mh * pl
+    low = lo + (mid << np.uint64(32))
+    high = mh * ph + (mid >> np.uint64(32)) + (low < lo)
+    # D = (m*5**k) / 2**s rounded half to even, as dtoa rounds
+    q = (high << (np.uint64(64) - s)) | (low >> s)
+    r = low & ((np.uint64(1) << s) - np.uint64(1))
+    half = np.uint64(1) << (s - np.uint64(1))
+    # 10**16 <= D < 10**17: the double below each power of ten 1e-3..1e15 lies at least
+    # 8.7 units of its 17th digit below it, so no D rounds up into the next decade
+    D = q + ((r > half) | ((r == half) & (q & np.uint64(1)).astype(bool)))
+    # the 17 digits: the leading one, then two halves of eight, four to a word
+    top = D // np.uint64(10**8)
+    bottom = (D - top * np.uint64(10**8)).astype(np.uint32)
+    top = top.astype(np.uint32)
+    lead = top // np.uint32(10**8)
+    top -= lead * np.uint32(10**8)
+    w = np.empty((n, 13), np.intp)
+    w[:, 0] = _MINUS
+    w[:, 1] = lead
+    for col, eight in ((2, top), (4, bottom)):
+        head = eight // np.uint32(10**4)
+        w[:, col] = head
+        w[:, col + 1] = eight - head * np.uint32(10**4)
+    w[:, 6] = _POINT
+    w[:, 7:12] = w[:, 1:6]
+    sep = w.reshape(*block.shape, 13)[:, :, 12]
+    sep[:, :-1] = _COMMA
+    sep[:, -1] = _NEWLINE
+    text = words.take(w).view(np.uint8)
+    # trailing zeros of D: word j's count is added while every word after it is 0000
+    zeros = trailing_zeros.take(w[:, 5])
+    for j in (4, 3, 2):
+        zeros += (zeros == 4 * (5 - j)) * trailing_zeros.take(w[:, j])
+    key = ((E + 4) * 17 + 16 - zeros) * 2 + (x < 0)
+    spliced = np.flatnonzero(~fixed)
+    if spliced.size:
+        texts = ["%.17g" % v for v in x[spliced].tolist()]
+        text[spliced, :24] = np.array(texts, dtype="S24").view(np.uint8).reshape(-1, 24)
+        key[spliced] = [_SPLICED + len(t) for t in texts]
+    return text[keep.take(key, axis=0)]
+
+
+def _percent_text(block: np.ndarray) -> bytes:
+    """The same text as ``_g17_text``, by one "%.17g" per value."""
+    row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    return (row * block.shape[0] % tuple(block.ravel().tolist())).encode("ascii")
+
+
+# values formatted at once; a block's byte tables take about 300 bytes a value,
+# and blocks of 8,192 values ran slower per value than 2,048 or 4,096 (2-vCPU Xeon)
+_CSV_BLOCK_VALUES = 4096
+# below this many values _g17_text's fixed cost (about 85 us) outweighs its saving
+# per value (about 0.3 us); both took 0.11 ms for the fig3 correlation table's
+# first 31 x 9 values (2-vCPU Xeon, best of 1,000)
+_G17_MIN_VALUES = 300
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write ``columns`` under ``header`` as CSV, each value as ``"%.17g" % value``.
+
+    The rows are formatted in blocks of about ``_CSV_BLOCK_VALUES`` values.
+    A block of ``_G17_MIN_VALUES`` values or more goes through
+    ``_g17_text``, which computes each in-range value's 17 digits in numpy
+    and splices in ``"%.17g"`` for the rest; a smaller block, such as a
+    31-lag correlation table, is formatted by ``%`` alone, which costs less
+    there.  Both give the same bytes.
+    """
     rows = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    # "%.17g" % v and format(v, ".17g") run the same CPython routine, so the bytes match
-    row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
-            block = rows[start : start + _CSV_BLOCK_ROWS]
-            fh.write(row_fmt * block.shape[0] % tuple(block.ravel().tolist()))
+    step = max(1, _CSV_BLOCK_VALUES // rows.shape[1])
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
+        for start in range(0, rows.shape[0], step):
+            block = rows[start : start + step]
+            fh.write(_g17_text(block) if block.size >= _G17_MIN_VALUES else _percent_text(block))
 
 
 def write_summary(path: Path, entries: dict) -> None:

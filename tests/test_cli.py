@@ -11,6 +11,7 @@ import pytest
 import effbath
 from effbath import cli, scenarios
 from effbath.cli import main
+from effbath.gme import simulate_population
 from effbath.params import build_params
 from effbath.scenarios import FIGURE_PARAMS, run_scenario, write_csv
 
@@ -604,20 +605,69 @@ def _reference_write_csv(path, header, columns):
             fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
+def _csv_values(rng, size):
+    """``size`` values of every kind "%.17g" prints, shuffled.
+
+    First the ends of the range ``_g17_text`` formats, 1e-4 and 1e15, and
+    each power of ten 1e-5..1e16, each with both neighbours and both signs,
+    and the values "%.17g" formats alone (0, -0.0, inf, nan, ...); then
+    values in that range, exact ties at the 17th digit (M + j/8 with M
+    around 1e14), integer-valued floats and values spread over 1e-300..1e300.
+    """
+    centres = [1e-4, 1e15, *(10.0**k for k in range(-5, 17))]
+    edges = np.array([np.nextafter(c, to) for c in centres for to in (0.0, c, np.inf)])
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e308, 2.0**53])
+    n = size // 4 + 1
+    kinds = np.concatenate([
+        10.0 ** rng.uniform(-4, 15, n) * rng.choice([-1.0, 1.0], n),
+        rng.integers(10**14, 14 * 10**13, n) + rng.integers(0, 8, n) / 8,
+        rng.integers(-(10**6), 10**6, n).astype(float),
+        rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+    ])
+    values = np.concatenate([edges, -edges, special, rng.permutation(kinds)])[:size]
+    rng.shuffle(values)
+    return values
+
+
 @pytest.mark.parametrize("n_cols", [1, 2, 9])
-@pytest.mark.parametrize("n_rows", [0, 1, 4095, 4096, 4097, 10_000])
+@pytest.mark.parametrize("n_rows", [0, 1, 31, 383, 4095, 4096, 4097, 10_000, 10_798])
 def test_write_csv_matches_the_per_value_writer(tmp_path, rng, n_rows, n_cols):
-    special = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, 3.0, -7.0, 2.0**53])
-    size = n_rows * n_cols
-    values = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
-    values[1::4] = rng.integers(-(10**6), 10**6, values[1::4].size)  # integer-valued floats
-    k = min(special.size, size)
-    values[rng.choice(size, k, replace=False)] = special[:k]
     header = [f"c{i}" for i in range(n_cols)]
-    columns = list(values.reshape(n_rows, n_cols).T)
+    columns = list(_csv_values(rng, n_rows * n_cols).reshape(n_rows, n_cols).T)
     write_csv(tmp_path / "blocked.csv", header, columns)
     _reference_write_csv(tmp_path / "reference.csv", header, columns)
     assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 2), (31, 9), (25_000, 2)])
+def test_g17_text_matches_the_per_value_writer(rng, shape):
+    # write_csv sends blocks below _G17_MIN_VALUES to "%"; the numpy path must hold at any size
+    rows = _csv_values(rng, shape[0] * shape[1]).reshape(shape)
+    expected = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows.tolist())
+    assert scenarios._g17_text(rows).tobytes() == expected.encode("ascii")
+
+
+@pytest.mark.parametrize("tag", ["fig2", "fig3"])
+def test_figure_csvs_match_the_per_value_writer(tmp_path, tag):
+    bundle = run_scenario(tag, build_params(FIGURE_PARAMS[tag]))
+    tables = {name: content for name, content in bundle.items() if name.endswith(".csv")}
+    assert tables
+    for name, (header, columns) in tables.items():
+        write_csv(tmp_path / name, header, columns)
+        _reference_write_csv(tmp_path / "reference.csv", header, columns)
+        assert (tmp_path / name).read_bytes() == (tmp_path / "reference.csv").read_bytes(), name
+
+
+def test_main_calls_share_only_the_parser(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["niba", "--horizon", "2", "--alpha-zero", "--out", str(tmp_path / "short")]) == 0
+    assert main(["niba", "--out", str(tmp_path / "default")]) == 0
+    # the second call ran the fig3 set on its default grid, not the first call's horizon or alpha = 0
+    series = simulate_population(build_params(FIGURE_PARAMS["fig3"]))
+    write_csv(tmp_path / "fig3.csv", ["t", "P"], [series.times, series.values])
+    default = (tmp_path / "default" / "P_niba.csv").read_bytes()
+    assert default == (tmp_path / "fig3.csv").read_bytes()
+    assert default.count(b"\n") == 1 + 10_798 > (tmp_path / "short" / "P_niba.csv").read_bytes().count(b"\n")
 
 
 def _modules_after(tmp_path, code, prefixes=("scipy",)):
