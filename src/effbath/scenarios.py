@@ -6,9 +6,10 @@ bundles and writes nothing itself: ``write_csv`` and ``write_summary``
 format a table or a summary as plain CSV/key=value text with full double
 precision, each value as ``"%.17g"`` prints it, so repeated runs are
 byte-identical, and the CLI calls them once a whole bundle exists.
-``write_csv`` forms the text of a value in %g's fixed-notation range,
-1e-4 <= |x| < 1e15, in numpy from its exact 17 digits, and of any other
-value by ``"%.17g"`` itself.
+``write_csv`` has one formatter for tables of every size: it forms the
+text of a value in %g's fixed-notation range, 1e-4 <= |x| < 1e15, in
+numpy from its exact 17 digits, and of any other value by ``"%.17g"``
+itself.
 """
 
 from __future__ import annotations
@@ -121,8 +122,7 @@ def _least_double_from(exp10: int) -> float:
 def _g17_tables() -> tuple:
     """The read-only lookup tables of ``_g17_text``, built on first use.
 
-    A process that writes no block of ``_G17_MIN_VALUES`` values or more
-    never builds them.
+    A process that writes no CSV never builds them.
 
     [2**e2, 2**(e2 + 1)) holds at most one power of ten, so the decade E of
     a double in it is ``decade[e2 - _E2_MIN]``, that of 2**e2,
@@ -237,38 +237,24 @@ def _g17_text(block: np.ndarray) -> np.ndarray:
     return text[keep.take(key, axis=0)]
 
 
-def _percent_text(block: np.ndarray) -> bytes:
-    """The same text as ``_g17_text``, by one "%.17g" per value."""
-    row = ",".join(["%.17g"] * block.shape[1]) + "\n"
-    return (row * block.shape[0] % tuple(block.ravel().tolist())).encode("ascii")
-
-
 # values formatted at once; a block's byte tables take about 300 bytes a value,
 # and blocks of 8,192 values ran slower per value than 2,048 or 4,096 (2-vCPU Xeon)
 _CSV_BLOCK_VALUES = 4096
-# below this many values _g17_text's fixed cost (about 85 us) outweighs its saving
-# per value (about 0.3 us); both took 0.11 ms for the fig3 correlation table's
-# first 31 x 9 values (2-vCPU Xeon, best of 1,000)
-_G17_MIN_VALUES = 300
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """Write ``columns`` under ``header`` as CSV, each value as ``"%.17g" % value``.
 
-    The rows are formatted in blocks of about ``_CSV_BLOCK_VALUES`` values.
-    A block of ``_G17_MIN_VALUES`` values or more goes through
-    ``_g17_text``, which computes each in-range value's 17 digits in numpy
-    and splices in ``"%.17g"`` for the rest; a smaller block, such as a
-    31-lag correlation table, is formatted by ``%`` alone, which costs less
-    there.  Both give the same bytes.
+    The rows are formatted in blocks of about ``_CSV_BLOCK_VALUES`` values
+    by ``_g17_text``, whatever the table's size: it computes each in-range
+    value's 17 digits in numpy and splices in ``"%.17g"`` for the rest.
     """
     rows = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     step = max(1, _CSV_BLOCK_VALUES // rows.shape[1])
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
         for start in range(0, rows.shape[0], step):
-            block = rows[start : start + step]
-            fh.write(_g17_text(block) if block.size >= _G17_MIN_VALUES else _percent_text(block))
+            fh.write(_g17_text(rows[start : start + step]))
 
 
 def write_summary(path: Path, entries: dict) -> None:

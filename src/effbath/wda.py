@@ -192,7 +192,7 @@ def effective_tunneling(
     u0_abs = coeffs.W / _sinh_half(beta * scales.Omega1)
     if u0_abs >= 1.0:
         warnings.warn(f"kernel truncation unreliable: |u0| = {u0_abs:.3g} >= 1", RegimeWarning, stacklevel=2)
-    scale = delta**2 * math.exp(coeffs.Y)
+    scale = delta * delta * math.exp(coeffs.Y)
     # first harmonic linearized in u0; |u0|*cosh(beta*Omega1/2) equals
     # W*coth(beta*Omega1/2) = -Y, which stays finite at any temperature
     return EffectiveTunneling(u0=1j * u0_abs, delta0c=math.sqrt(scale * _i0(u0_abs)),
@@ -205,21 +205,25 @@ def pole_frequencies(delta0c: float, delta1c: float, omega1: float) -> tuple[flo
     Roots of lambda**4 + (d0^2 + d1^2 + Om1^2)*lambda**2 + d0^2*Om1^2 = 0,
     written with the radicand grouped as
     ((d0^2 - Om1^2)/2)^2 + (d1^2/2)*(d0^2 + d1^2/2 + Om1^2) so it is
-    manifestly nonnegative.  Omega_minus > Omega_plus; Omega_plus is +0 at
-    delta0c = 0 (no tunneling), and elsewhere a root lambda**2 = 0 is rounding and raises.
+    manifestly nonnegative.  The larger, Omega_minus, is a sum; Omega_plus
+    comes from the product of the roots, Omega_plus*Omega_minus = d0*Om1,
+    so nothing cancels as delta0c -> 0, and it is +0 at delta0c = 0 (no
+    tunneling).  Squares are products, so an overflow reaches the one
+    check as inf or nan, not as an OverflowError.
     """
-    d0_sq = delta0c**2
-    d1_sq = delta1c**2
-    half_sum = 0.5 * (d0_sq + d1_sq + omega1**2)
-    radicand = (0.5 * (d0_sq - omega1**2)) ** 2 + 0.5 * d1_sq * (d0_sq + 0.5 * d1_sq + omega1**2)
-    root = math.sqrt(radicand)
-    lam2_plus = -half_sum + root
-    lam2_minus = -half_sum - root
-    if lam2_plus > 0.0 or (lam2_plus == 0.0 and delta0c != 0.0) or lam2_minus >= 0.0:
+    d0_sq = delta0c * delta0c
+    d1_sq = delta1c * delta1c
+    om1_sq = omega1 * omega1
+    half_sum = 0.5 * (d0_sq + d1_sq + om1_sq)
+    half_gap = 0.5 * (d0_sq - om1_sq)
+    radicand = half_gap * half_gap + 0.5 * d1_sq * (d0_sq + 0.5 * d1_sq + om1_sq)
+    omega_minus = math.sqrt(half_sum + math.sqrt(radicand))
+    if not 0.0 < omega_minus < math.inf:
         raise ComplexFrequencyError(
-            f"pole equation gives non-oscillatory roots: lambda^2 = {lam2_plus:.3g}, {lam2_minus:.3g}"
+            f"pole equation has no finite oscillation frequency: Omega_minus = {omega_minus:.3g} "
+            f"from delta0c = {delta0c:.3g}, delta1c = {delta1c:.3g}, Omega1 = {omega1:.3g}"
         )
-    return math.sqrt(abs(lam2_plus)), math.sqrt(-lam2_minus)
+    return delta0c / omega_minus * omega1, omega_minus
 
 
 # K and K0 of the latest spectrum: its two poles each take both

@@ -152,18 +152,42 @@ def test_custom_pipeline(tmp_path):
         assert (out / name).exists()
 
 
+def _fig3_config(tmp_path, delta):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key}={value}\n" for key, value in dict(FIGURE_PARAMS["fig3"], Delta=delta).items()))
+    return cfg
+
+
 def test_custom_at_zero_tunneling_writes_its_bundle(tmp_path):
     # at Delta = 0 both traces hold P = 1, so the NIBA spectrum has no line:
     # the summary keeps its bin width and the shortage, and names no peak
-    cfg = tmp_path / "frozen.cfg"
-    cfg.write_text("".join(f"{key}={value}\n" for key, value in dict(FIGURE_PARAMS["fig3"], Delta=0.0).items()))
     out = tmp_path / "out"
-    assert main(["custom", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["custom", "--config", str(_fig3_config(tmp_path, 0.0)), "--out", str(out)]) == 0
     for name in ("spectral.csv", "P_niba.csv", "P_wda.csv", "spectrum_niba.csv", "spectrum_wda.csv"):
         assert (out / name).exists()
     summary = dict(line.split("=") for line in (out / "summary.txt").read_text().splitlines())
     assert float(summary["niba_fft_bin"]) > 0.0 and summary["niba_peak_shortage"] == "1"
     assert not any(key.startswith("niba_peak") and key != "niba_peak_shortage" for key in summary)
+
+
+@pytest.mark.parametrize("command", ["wda", "custom"])
+def test_a_vanishing_delta_writes_finite_files(tmp_path, command):
+    # Omega_plus is about Delta = 1e-9, far below the rounding of Omega1**2
+    out = tmp_path / "out"
+    assert main([command, "--config", str(_fig3_config(tmp_path, 1e-9)), "--out", str(out)]) == 0
+    assert (out / "P_wda.csv").exists()
+    for path in out.glob("*.csv"):
+        assert np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1)).all(), path.name
+
+
+@pytest.mark.parametrize("delta", [1e80, 1e200])
+def test_a_delta_past_the_double_range_is_one_error_line(tmp_path, capsys, delta):
+    # Delta**2 or the pole equation's squares overflow: a typed error, not an OverflowError
+    out = tmp_path / "out"
+    assert main(["wda", "--config", str(_fig3_config(tmp_path, delta)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("effbath: error: pole equation") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_strict_regime_violation_exit_code(tmp_path):
@@ -641,7 +665,7 @@ def test_write_csv_matches_the_per_value_writer(tmp_path, rng, n_rows, n_cols):
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (31, 9), (25_000, 2)])
 def test_g17_text_matches_the_per_value_writer(rng, shape):
-    # write_csv sends blocks below _G17_MIN_VALUES to "%"; the numpy path must hold at any size
+    # write_csv formats every block this way, down to a single value
     rows = _csv_values(rng, shape[0] * shape[1]).reshape(shape)
     expected = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows.tolist())
     assert scenarios._g17_text(rows).tobytes() == expected.encode("ascii")

@@ -79,11 +79,30 @@ def test_pole_frequencies_quartic_residual(fig3_params, fig5_params):
 
 
 def test_pole_frequencies_degenerate_error():
-    # delta0c = 0 has the exact root lambda = 0 (test_invariance's Delta = 0);
-    # a nonzero delta0c whose lambda^2 rounds to 0, or Omega1 = 0 too, has none
-    for degenerate in ((1e-9, 0.0, 1.0), (0.0, 0.0, 0.0)):
+    # Omega_plus is taken from the product of the roots, so a tiny delta0c keeps its
+    # root; no oscillation at all, or squares past the double range, raise
+    assert pole_frequencies(1e-9, 0.0, 1.0) == (1e-9, 1.0)
+    for degenerate in ((0.0, 0.0, 0.0), (1e200, 0.0, 1.0)):
         with pytest.raises(ComplexFrequencyError):
             pole_frequencies(*degenerate)
+
+
+@pytest.mark.parametrize("delta", [1.0, 1e-5, 1e-7, 1e-9, 1e-12, 0.0])
+def test_pole_frequencies_match_a_60_digit_root_as_delta_vanishes(delta):
+    # Omega_plus ~ Delta: the difference -half_sum + root would cancel to nothing here
+    mp = pytest.importorskip("mpmath")
+    _, scales, tun = _tunneling(build_params(dict(FIG3, Delta=delta)))
+    w_plus, w_minus = pole_frequencies(tun.delta0c, tun.delta1c, scales.Omega1)
+    with mp.workdps(60):
+        d0, d1, om1 = (mp.mpf(x) ** 2 for x in (tun.delta0c, tun.delta1c, scales.Omega1))
+        half_sum = (d0 + d1 + om1) / 2
+        root = mp.sqrt(half_sum**2 - d0 * om1)
+        ref_plus, ref_minus = float(mp.sqrt(half_sum - root)), float(mp.sqrt(half_sum + root))
+    assert abs(w_plus - ref_plus) <= 2 * math.ulp(ref_plus)
+    assert abs(w_minus - ref_minus) <= 2 * math.ulp(ref_minus)
+    assert math.copysign(1.0, w_plus) == 1.0
+    if delta == 0.0:  # without tunneling the poles are exactly +0 and Omega1
+        assert (w_plus, w_minus) == (0.0, scales.Omega1)
 
 
 def test_dressed_resonance_exact_splitting(fig3_params):
