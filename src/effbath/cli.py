@@ -131,8 +131,8 @@ def _niba(args, params) -> dict:
 
 
 def _wda(args, params) -> dict:
+    spectrum = build_wda_spectrum(params)  # a Delta past the double range fails in its pole equation first
     step, n_steps = time_grid(params, step=args.step, horizon=args.horizon)
-    spectrum = build_wda_spectrum(params)
     t = step * np.arange(n_steps + 1)
     return {"P_wda.csv": (["t", "P"], [t, wda_population(t, spectrum)]),
             "wda_report.txt": wda_entries(spectrum, params)}

@@ -40,6 +40,8 @@ __all__ = [
 _DEFAULT_POINTS_PER_PERIOD = 640
 _MIN_POINTS_PER_PERIOD = 40
 _DEFAULT_HORIZON_PERIODS = 100.0  # horizon in units of 1/Omega
+# the march holds about ten float64 arrays of N + 1 values: 8 GB at this count
+_MAX_STEPS = 10**8
 
 
 @dataclass(frozen=True)
@@ -81,19 +83,25 @@ def time_grid(
 
     Defaults to ``default_step`` and a horizon of 100/Omega; the horizon
     is rounded to a whole number of steps, at least one.  A step or
-    horizon that is not positive and finite, or a step count past the
-    float range, raises NonPositiveError.
+    horizon that is not positive and finite, or a step count past
+    ``_MAX_STEPS``, raises NonPositiveError before any array is made.
     """
-    if step is None:
+    source = ""
+    if step is None:  # at a Delta near the double range's end the default underflows to 0
         step = default_step(p, scales)
+        source = "; the default step is 2*pi/(640*max(Omega1, Delta, |epsilon|))"
+    elif not 0.0 < step < math.inf:
+        raise NonPositiveError(f"step must be positive and finite, got {step}")
     if horizon is None:
         horizon = _DEFAULT_HORIZON_PERIODS / p.Omega
-    for name, value in (("step", step), ("horizon", horizon)):
-        if not 0.0 < value < math.inf:
-            raise NonPositiveError(f"{name} must be positive and finite, got {value}")
-    count = horizon / step
-    if count == math.inf:
-        raise NonPositiveError(f"horizon {horizon:g} over step {step:g} is not a finite step count")
+    if not 0.0 < horizon < math.inf:
+        raise NonPositiveError(f"horizon must be positive and finite, got {horizon}")
+    count = horizon / step if step else math.inf
+    if not count <= _MAX_STEPS:
+        raise NonPositiveError(
+            f"horizon {horizon:.4g} over step {step:.4g} is {count:.3g} steps, "
+            f"more than the {_MAX_STEPS:.0e} a run can hold{source}"
+        )
     return step, max(int(round(count)), 1)
 
 

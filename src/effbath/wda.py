@@ -3,7 +3,8 @@
 The kernel expanded to first order in the damping is resummed into
 harmonics of the shifted oscillator frequency; the argument of that
 Bessel resummation is small in the validated regime, so the series is
-truncated after the first harmonic.  The truncated kernel and the trace
+truncated after the first harmonic, and the zeroth harmonic's I0(|u0|)
+is summed from its own power series.  The truncated kernel and the trace
 are each an ``ExpSum``, a sum of t**m * exp(s*t) terms whose Laplace
 transform is a sum of poles m!/(lam - s)**(m + 1).  The undamped pole
 equation gives the oscillation frequencies and real pole weights; the
@@ -50,52 +51,25 @@ __all__ = [
 _NEWTON_MAX_ITER = 100
 _NEWTON_TOL = 1e-12
 
-# Cephes' Chebyshev coefficients of exp(-x)*I0(x) on [0, 8] and of
-# exp(-x)*sqrt(x)*I0(x) on (8, inf), as in scipy.special.i0
-_I0_A = (
-    -4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16,
-    1.715391285555133e-15, -1.1685332877993451e-14, 7.676185498604936e-14,
-    -4.856446783111929e-13, 2.95505266312964e-12, -1.726826291441556e-11,
-    9.675809035373237e-11, -5.189795601635263e-10, 2.6598237246823866e-09,
-    -1.300025009986248e-08, 6.046995022541919e-08, -2.670793853940612e-07,
-    1.1173875391201037e-06, -4.4167383584587505e-06, 1.6448448070728896e-05,
-    -5.754195010082104e-05, 0.00018850288509584165, -0.0005763755745385824,
-    0.0016394756169413357, -0.004324309995050576, 0.010546460394594998,
-    -0.02373741480589947, 0.04930528423967071, -0.09490109704804764,
-    0.17162090152220877, -0.3046826723431984, 0.6767952744094761,
-)
-_I0_B = (
-    -7.233180487874754e-18, -4.830504485944182e-18, 4.46562142029676e-17,
-    3.461222867697461e-17, -2.8276239805165836e-16, -3.425485619677219e-16,
-    1.7725601330565263e-15, 3.8116806693526224e-15, -9.554846698828307e-15,
-    -4.150569347287222e-14, 1.54008621752141e-14, 3.8527783827421426e-13,
-    7.180124451383666e-13, -1.7941785315068062e-12, -1.3215811840447713e-11,
-    -3.1499165279632416e-11, 1.1889147107846439e-11, 4.94060238822497e-10,
-    3.3962320257083865e-09, 2.266668990498178e-08, 2.0489185894690638e-07,
-    2.8913705208347567e-06, 6.889758346916825e-05, 0.0033691164782556943,
-    0.8044904110141088,
-)
-
-
-def _chbevl(x: float, coefs: tuple) -> float:
-    b0, b1, b2 = coefs[0], 0.0, 0.0
-    for c in coefs[1:]:
-        b2 = b1
-        b1 = b0
-        b0 = x * b1 - b2 + c
-    return 0.5 * (b0 - b2)
-
 
 def _i0(x: float) -> float:
-    """Modified Bessel function I0 of a real scalar, bit-equal to scipy.special.i0."""
-    x = abs(x)
-    if x <= 8.0:
-        return math.exp(x) * _chbevl(x / 2.0 - 2.0, _I0_A)
-    try:
-        scale = math.exp(x)
-    except OverflowError:  # scipy's i0 overflows to inf there too
-        return math.inf
-    return scale * _chbevl(32.0 / x - 2.0, _I0_B) / math.sqrt(x)
+    """Modified Bessel function I0 of a real scalar, sum_k ((x/2)**k / k!)**2 (A&S 9.6.12).
+
+    The terms t_k = t_{k-1} * (x**2/4) / k**2 are positive and go to fsum
+    once one falls below 2**-60 of the running sum, a comparison that is
+    false for nan, so nan returns nan.  Term k carries about 3k roundings
+    and the largest sit near k = x/2, so the error is about (1.5*x + 1)
+    ulp, below 1 ulp where |u0| < 1.  A running sum past the double range
+    returns inf without fsum, which would raise on that overflow.
+    """
+    quarter_sq = 0.25 * x * x
+    terms = [1.0]
+    total = term = 1.0
+    while term > 2.0**-60 * total:
+        term *= quarter_sq / len(terms) ** 2
+        total += term
+        terms.append(term)
+    return math.inf if total == math.inf else math.fsum(terms)
 
 
 @dataclass(frozen=True)

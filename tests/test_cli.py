@@ -190,6 +190,21 @@ def test_a_delta_past_the_double_range_is_one_error_line(tmp_path, capsys, delta
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["niba", "wda", "custom"])
+@pytest.mark.parametrize("delta", [1e13, 1e78, 1e308])
+def test_a_grid_too_large_to_hold_is_one_error_line(tmp_path, capsys, command, delta):
+    # the default step resolves Delta, so the grid holds 1e17 steps or more (at 1e308 the
+    # step underflows to 0); it is refused before any array is made.  wda builds its
+    # poles first, and past Delta = 1e78 their squares overflow
+    out = tmp_path / "out"
+    assert main([command, "--config", str(_fig3_config(tmp_path, delta)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("effbath: error: ") and err.count("\n") == 1
+    expected = "pole equation" if command == "wda" and delta >= 1e78 else "steps, more than the 1e+08 a run can hold"
+    assert expected in err
+    assert not out.exists()
+
+
 def test_strict_regime_violation_exit_code(tmp_path):
     cfg = tmp_path / "hot.cfg"
     cfg.write_text("Omega=1\nalpha=0.02\ng=1.5\ngamma=0.1\nbeta=10\nDelta=1\nepsilon=0\n")

@@ -7,7 +7,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from effbath import accel
 from effbath.correlation import QUADRATURE_ATOL, closed_form_correlation, quadrature_correlation
-from effbath.errors import NonFiniteStateError, StepTooLargeError
+from effbath.errors import NonFiniteStateError, NonPositiveError, StepTooLargeError
 from effbath.gme import (
     default_step,
     niba_kernels,
@@ -193,6 +193,16 @@ def test_march_leaves_no_reference_cycles(fig3_params):
 def test_step_too_large(fig3_params):
     with pytest.raises(StepTooLargeError):
         simulate_population(fig3_params, step=1.0, horizon=10.0)
+
+
+def test_the_step_count_is_bounded_before_any_array(fig3_params):
+    # 1e8 steps is the most a run holds; a count past it is refused by its step, horizon
+    # and count, and a defaulted step by where it comes from
+    assert time_grid(fig3_params, step=1.0, horizon=1e8) == (1.0, 10**8)
+    with pytest.raises(NonPositiveError, match=r"horizon 1e\+08 over step 0.99 is 1.01e\+08 steps"):
+        time_grid(fig3_params, step=0.99, horizon=1e8)
+    with pytest.raises(NonPositiveError, match=r"max\(Omega1, Delta, \|epsilon\|\)"):
+        time_grid(build_params(dict(FIGURE_PARAMS["fig3"], Delta=1e6)))
 
 
 def test_step_too_large_for_bias(fig3_params):

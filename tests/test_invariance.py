@@ -1,8 +1,10 @@
-"""Exact invariances of the model: changes of the inputs that must leave P(t) bit for bit as it is."""
+"""Invariances of the model: changes of the inputs that must leave P(t) bit for bit as it is,
+and the limits P(t) must approach continuously."""
 
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from effbath.gme import simulate_population
@@ -48,3 +50,22 @@ def test_p_stays_one_without_tunneling(tag):
     spectrum = build_wda_spectrum(p)
     assert (spectrum.weight_plus, spectrum.kappa_plus, spectrum.sine_plus) == (1.0, 0.0, 0.0)
     assert math.copysign(1.0, spectrum.omega_plus) == 1.0  # 0, not -0, in the summary
+
+
+def test_vanishing_damping_is_continuous_and_first_order():
+    # P(gamma) = P(0) + gamma*c(t) + O(gamma**2), so r = max|P(gamma) - P(0)|/gamma is
+    # r0 + O(gamma), and its successive differences at gamma, gamma/10, gamma/100 shrink
+    # tenfold (a Richardson check on the order); at 1e-6 rounding moves r by about 1e-10
+    fig3 = {key: value for key, value in FIGURE_PARAMS["fig3"].items() if key != "gamma_over_2piOmega"}
+
+    def traces(gamma):
+        p = build_params(dict(fig3, gamma=gamma))
+        series = simulate_population(p, horizon=30.0)
+        return series.values, wda_population(series.times, build_wda_spectrum(p))
+
+    gammas = (1e-3, 1e-4, 1e-5, 1e-6)
+    undamped = traces(0.0)
+    ratios = np.array([[np.abs(p - p0).max() / gamma for p, p0 in zip(traces(gamma), undamped)]
+                       for gamma in gammas])
+    steps = np.diff(ratios, axis=0)  # one column per solution: NIBA, then the WDA
+    assert (np.abs(steps[:-1] / steps[1:] - 10.0) <= 1.0).all(), ratios

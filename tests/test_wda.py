@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import i0
 
 from effbath import wda
 from effbath.correlation import wda_coefficients, wda_split
@@ -421,15 +420,31 @@ def test_truncation_ratio_second_harmonic_small(fig3_params):
     assert 0.0 < truncation_ratio_n2(tun, coeffs, cold.beta, scales.Omega1) < 0.1
 
 
-def test_i0_is_bit_equal_to_scipy(fig3_params, fig5_params):
-    # both branches of the Chebyshev expansion, its branch point at 8 with
-    # its neighbours one ulp away, the |u0| the figures evaluate, and
-    # arguments whose exp overflows
-    u0 = [abs(build_wda_spectrum(p).u0) for p in (fig3_params, fig5_params)]
-    x = np.concatenate((
-        [0.0, 8.0, np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0), 700.0, 710.0, 1e4, *u0],
-        np.random.default_rng(7).uniform(0.0, 700.0, 20_000),
-        np.random.default_rng(8).uniform(0.0, 16.0, 20_000),
-    ))
-    ours = np.array([_i0(v) for v in x.tolist()])
-    assert ours.tobytes() == i0(x).tobytes()
+def test_i0_is_within_its_error_bound_of_a_40_digit_reference(fig3_params, fig5_params):
+    # term k of the power series carries about 3k roundings and the largest
+    # terms sit near k = x/2, so the bound is (1.5*x + 1) ulp; 713 lies near
+    # the double range's end, and the |u0| the figures evaluate (each set
+    # with and without its nonlinearity) come out correctly rounded
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    x = [0.0, 8.0, 700.0, 713.0, *rng.uniform(0.0, 1.0, 500).tolist(), *rng.uniform(0.0, 700.0, 1000).tolist()]
+    u0 = [abs(build_wda_spectrum(q).u0) for p in (fig3_params, fig5_params) for q in (p, p.with_alpha(0.0))]
+    with mp.workdps(40):
+        for v in x:
+            ref = mp.besseli(0, v)
+            assert abs(mp.mpf(_i0(v)) - ref) <= (1.5 * v + 1.0) * math.ulp(float(ref)), v
+        assert [_i0(v) for v in u0] == [float(mp.besseli(0, v)) for v in u0]
+
+
+def test_i0_limits_and_parity():
+    # the series stops on a comparison that is false for nan, and a sum past
+    # the double range is inf rather than fsum's OverflowError: from the first
+    # double whose running sum overflows, all of whose terms are finite, and
+    # at 720, where the largest terms overflow too
+    assert _i0(0.0) == 1.0
+    edge = 713.9869085439683
+    assert _i0(math.nextafter(edge, 0.0)) < math.inf
+    assert _i0(edge) == _i0(720.0) == _i0(math.inf) == math.inf
+    assert math.isnan(_i0(math.nan))
+    x = np.random.default_rng(9).uniform(0.0, 700.0, 200).tolist() + [1e-300, 0.5, 8.0, 713.0, 720.0]
+    assert [_i0(-v) for v in x] == [_i0(v) for v in x]
