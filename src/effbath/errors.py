@@ -14,7 +14,11 @@ class UnknownKeyError(EffbathError, ValueError):
 
 
 class NonPositiveError(EffbathError, ValueError):
-    """A parameter, step, horizon, step count, grid end, point count or pad factor is not positive and finite."""
+    """A parameter, step, horizon, grid end, point count or pad factor is not positive and finite."""
+
+
+class GridTooLargeError(EffbathError, ValueError):
+    """A time grid has more steps than a run can hold."""
 
 
 class NegativeRateError(EffbathError, ValueError):

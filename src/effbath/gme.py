@@ -24,7 +24,7 @@ import numpy as np
 
 from . import accel
 from .correlation import CorrelationFn, closed_form_correlation, interpolated_correlation
-from .errors import NonFiniteStateError, NonPositiveError, StepTooLargeError
+from .errors import GridTooLargeError, NonFiniteStateError, NonPositiveError, StepTooLargeError
 from .params import DerivedScales, SystemParams, derived_scales
 
 __all__ = [
@@ -56,6 +56,20 @@ class TimeSeries:
         return self.h * np.arange(self.values.shape[0])
 
 
+def exp_tables(exponent, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tables with exp(exponent(k)) = coarse[q] * fine[r] for k = q*B + r < count, up to rounding.
+
+    ``exponent`` is linear in the integer array k, and B = isqrt(count - 1)
+    + 1: coarse[q] = exp(exponent(q*B)) and fine[r] = exp(exponent(r)), so
+    the outer product of about 2*sqrt(count) exp values holds all count
+    of them ("subvector scaling", Van Loan, Computational Frameworks for
+    the FFT, SIAM 1992, sec. 1.4).
+    """
+    block = math.isqrt(count - 1) + 1
+    coarse = np.exp(exponent(block * np.arange(-(-count // block))))
+    return coarse, np.exp(exponent(np.arange(block)))
+
+
 def _fastest_frequency(p: SystemParams, scales: DerivedScales) -> float:
     """Fastest oscillation the kernels carry: Omega1, Delta or |epsilon|."""
     return max(scales.Omega1, p.Delta, abs(p.epsilon))
@@ -83,8 +97,9 @@ def time_grid(
 
     Defaults to ``default_step`` and a horizon of 100/Omega; the horizon
     is rounded to a whole number of steps, at least one.  A step or
-    horizon that is not positive and finite, or a step count past
-    ``_MAX_STEPS``, raises NonPositiveError before any array is made.
+    horizon that is not positive and finite raises NonPositiveError, and
+    a step count past ``_MAX_STEPS`` GridTooLargeError, before any array
+    is made.
     """
     source = ""
     if step is None:  # at a Delta near the double range's end the default underflows to 0
@@ -98,7 +113,7 @@ def time_grid(
         raise NonPositiveError(f"horizon must be positive and finite, got {horizon}")
     count = horizon / step if step else math.inf
     if not count <= _MAX_STEPS:
-        raise NonPositiveError(
+        raise GridTooLargeError(
             f"horizon {horizon:.4g} over step {step:.4g} is {count:.3g} steps, "
             f"more than the {_MAX_STEPS:.0e} a run can hold{source}"
         )

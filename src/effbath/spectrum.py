@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonPositiveError, NoPeaksError, TooShortError
-from .gme import TimeSeries
+from .gme import TimeSeries, exp_tables
 
 __all__ = ["SpectrumResult", "Peak", "fourier_spectrum", "peak_extract"]
 
@@ -87,15 +86,13 @@ def _bluestein_plan(n: int, n_pad: int, m: int) -> tuple[np.ndarray, np.ndarray]
 def _twiddle(n_pad: int) -> np.ndarray:
     """exp(-2*pi*i*k/n_pad) for k = 0..n_pad//2, the unpacking factors of ``_packed_full_band``, read-only.
 
-    w^k = w^(q*B) * w^r for k = q*B + r, B about sqrt(n_pad/2): two short
-    ``exp`` tables and one outer product.  Up to n_pad = 10^6 that lies
-    within 1e-15 of exp(-2*pi*i*k/n_pad) taken per k, at a sixth to a
-    twelfth of its cost.
+    w^k = w^(q*B) * w^r for k = q*B + r, B about sqrt(n_pad/2): the two
+    short ``exp`` tables of ``gme.exp_tables`` and one outer product.  Up
+    to n_pad = 10^6 that lies within 1e-15 of exp(-2*pi*i*k/n_pad) taken
+    per k, at a sixth to a twelfth of its cost.
     """
     count = n_pad // 2 + 1
-    block = math.isqrt(count - 1) + 1
-    coarse = np.exp(-2j * np.pi * (block * np.arange(-(-count // block))) / n_pad)
-    fine = np.exp(-2j * np.pi * np.arange(block) / n_pad)
+    coarse, fine = exp_tables(lambda k: -2j * np.pi * k / n_pad, count)
     twiddle = np.outer(coarse, fine).ravel()[:count]
     twiddle.flags.writeable = False
     return twiddle

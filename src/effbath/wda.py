@@ -10,7 +10,10 @@ transform is a sum of poles m!/(lam - s)**(m + 1).  The undamped pole
 equation gives the oscillation frequencies and real pole weights; the
 poles and residues are then expanded to first order in the damping: each
 pole gains a decay rate, and each residue an imaginary part that enters
-the trace as a sine amplitude.
+the trace as a sine amplitude.  An ``ExpSum`` sampled on a uniform grid
+t_k = k*h from 0, as every caller samples the trace, builds e^{s*t_k}
+from two exp tables of about sqrt(n) values each and takes no cos or
+sin; at any other t it takes them per sample.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .errors import (
     RegimeWarning,
     RootSwapError,
 )
+from .gme import exp_tables
 from .params import DerivedScales, SystemParams, derived_scales
 
 __all__ = [
@@ -76,8 +80,18 @@ def _i0(x: float) -> float:
 class ExpSum:
     """The real function f(t) = sum_k c_k * t**m_k * exp(s_k*t), its terms closed under conjugation.
 
-    ``f(t)`` takes each term with Im s > 0 as 2*Re, with one real exp and one
-    cos/sin, skips its conjugate, and takes a term with real s once.
+    ``f(t)`` takes each term with Im s > 0 as 2*Re, skips its conjugate,
+    and takes a term with real s once.  It has two paths with one sum:
+
+    - on a uniform grid, a 1-D ``t`` of n > 1 samples equal to
+      ``t[1] * np.arange(n)``, each term comes from two exp tables of
+      about sqrt(n) values, ``gme.exp_tables``, and two real outer
+      products, so no sample takes a cos or sin;
+    - any other ``t`` (a scalar, a ``linspace``, an offset slice) takes
+      one real exp and one cos and sin per sample and term.
+
+    Both add the terms in the same order, and each term is exactly Re a at
+    t = 0, so f(0) is the sum of the Re a as written.
     """
 
     rates: tuple[complex, ...]
@@ -100,15 +114,36 @@ class ExpSum:
         total = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
         return -total if order % 2 else total
 
-    def __call__(self, t):
-        time = np.asarray(t, dtype=float)
-        result = np.zeros_like(time)
+    def _real_parts(self):
+        """(s, a, m) with f(t) = sum Re(a * t**m * exp(s*t)): a = 2c at Im s > 0, c at real s, conjugates skipped."""
         for s, c, m in zip(self.rates, self.amps, self.powers):
             if s.imag >= 0.0:
-                a = 2.0 * c if s.imag > 0.0 else c
-                phase = s.imag * time
-                term = np.exp(s.real * time) * (a.real * np.cos(phase) - a.imag * np.sin(phase))
-                result += term * time**m if m else term
+                yield s, 2.0 * c if s.imag > 0.0 else c, m
+
+    def __call__(self, t):
+        time = np.asarray(t, dtype=float)
+        n = time.size
+        if time.ndim == 1 and n > 1 and np.array_equal(time, time[1] * np.arange(n)):
+            return self._on_grid(time)
+        result = np.zeros_like(time)
+        for s, a, m in self._real_parts():
+            phase = s.imag * time
+            term = np.exp(s.real * time) * (a.real * np.cos(phase) - a.imag * np.sin(phase))
+            result += term * time**m if m else term
+        return result
+
+    def _on_grid(self, time: np.ndarray) -> np.ndarray:
+        """f at t_k = k*h, with Re(a * e^{s*t_k}) = Re(a * coarse[q] * fine[r]) for k = q*B + r."""
+        n, h = time.shape[0], time[1]
+        result = np.zeros(n)
+        for s, a, m in self._real_parts():
+            rate = s * h
+            coarse, fine = exp_tables(lambda k: rate * k, n)
+            coarse = a * coarse
+            term = np.multiply.outer(coarse.real, fine.real)
+            term -= np.multiply.outer(coarse.imag, fine.imag)
+            term = term.ravel()[:n]
+            result += term * time**m if m else term
         return result
 
 

@@ -7,7 +7,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from effbath import accel
 from effbath.correlation import QUADRATURE_ATOL, closed_form_correlation, quadrature_correlation
-from effbath.errors import NonFiniteStateError, NonPositiveError, StepTooLargeError
+from effbath.errors import GridTooLargeError, NonFiniteStateError, NonPositiveError, StepTooLargeError
 from effbath.gme import (
     default_step,
     niba_kernels,
@@ -199,9 +199,10 @@ def test_the_step_count_is_bounded_before_any_array(fig3_params):
     # 1e8 steps is the most a run holds; a count past it is refused by its step, horizon
     # and count, and a defaulted step by where it comes from
     assert time_grid(fig3_params, step=1.0, horizon=1e8) == (1.0, 10**8)
-    with pytest.raises(NonPositiveError, match=r"horizon 1e\+08 over step 0.99 is 1.01e\+08 steps"):
+    with pytest.raises(GridTooLargeError, match=r"horizon 1e\+08 over step 0.99 is 1.01e\+08 steps") as raised:
         time_grid(fig3_params, step=0.99, horizon=1e8)
-    with pytest.raises(NonPositiveError, match=r"max\(Omega1, Delta, \|epsilon\|\)"):
+    assert not isinstance(raised.value, NonPositiveError)
+    with pytest.raises(GridTooLargeError, match=r"max\(Omega1, Delta, \|epsilon\|\)"):
         time_grid(build_params(dict(FIGURE_PARAMS["fig3"], Delta=1e6)))
 
 

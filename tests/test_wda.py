@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from effbath import wda
 from effbath.correlation import wda_coefficients, wda_split
 from effbath.errors import ComplexFrequencyError, RegimeWarning
+from effbath.gme import default_step, exp_tables, time_grid
 from effbath.params import build_params, derived_scales
 from effbath.scenarios import FIGURE_PARAMS
 from effbath.wda import (
@@ -408,6 +409,80 @@ def test_damped_decoupled_qubit_has_a_silent_second_pole(delta):
     assert spectrum.weight_minus == spectrum.kappa_minus == spectrum.sine_minus == 0.0
     t = np.linspace(0.0, 40.0, 500)
     np.testing.assert_allclose(wda_population(t, spectrum), np.cos(delta * t), rtol=0, atol=1e-12)
+
+
+def _grid_calls(monkeypatch) -> list:
+    """Record each ``exp_tables`` call of the grid path."""
+    calls = []
+
+    def counted(exponent, count):
+        calls.append(count)
+        return exp_tables(exponent, count)
+
+    monkeypatch.setattr(wda, "exp_tables", counted)
+    return calls
+
+
+def _per_point(exp_sum: ExpSum, t: np.ndarray) -> np.ndarray:
+    """The per-point path: a 2-D ``t`` never takes the grid path, and its samples are taken one by one."""
+    return exp_sum(t[None, :])[0]
+
+
+def _grid_case(name: str):
+    """(exp sum, grid t_k = k*h) of a trace on its default grid, or of the fig3 kernel times t**0 and t**1."""
+    if name in ("kernel", "t_kernel"):
+        params = build_params(FIGURE_PARAMS["fig3"])
+        coeffs, scales, tun = _tunneling(params)
+        kernel = _kernel(tun, coeffs, scales.Omega1)
+        if name == "t_kernel":  # powers 1 and 2
+            kernel = ExpSum(kernel.rates, kernel.amps, tuple(m + 1 for m in kernel.powers))
+        return kernel, default_step(params) * np.arange(10_798)
+    raw = {"free": dict(FIGURE_PARAMS["fig3"], g=0.0, gamma=0.0),
+           "delta_0": dict(FIGURE_PARAMS["fig3"], Delta=0.0)}.get(name) or FIGURE_PARAMS[name]
+    params = build_params(raw)
+    h, n_steps = time_grid(params)
+    return build_wda_spectrum(params).poles(), h * np.arange(n_steps + 1)
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig5", "free", "delta_0", "kernel", "t_kernel"])
+def test_the_grid_path_agrees_with_the_per_point_formula(monkeypatch, name):
+    # each path rounds the phase s*t once or twice, exp, cos, sin or the two
+    # tables' products a few times each: at most 16 eps * |a| * (1 + |s|*t)
+    # per term of size |a| * t**m, summed over the terms
+    exp_sum, t = _grid_case(name)
+    calls = _grid_calls(monkeypatch)
+    grid = exp_sum(t)
+    assert calls and set(calls) == {t.size}
+    t_max = t[-1]
+    bound = 16.0 * np.finfo(float).eps * sum(
+        abs(c) * t_max**m * max(1.0, math.exp(s.real * t_max)) * (1.0 + abs(s) * t_max)
+        for s, c, m in zip(exp_sum.rates, exp_sum.amps, exp_sum.powers))
+    assert np.abs(grid - _per_point(exp_sum, t)).max() <= bound
+
+
+@pytest.mark.parametrize("tag", ["fig3", "fig5", "fig7"])
+def test_the_grid_path_keeps_p0_exact(monkeypatch, tag):
+    params = build_params(FIGURE_PARAMS[tag])
+    h, n_steps = time_grid(params)
+    calls = _grid_calls(monkeypatch)
+    assert wda_population(h * np.arange(n_steps + 1), build_wda_spectrum(params))[0] == 1.0
+    assert calls
+
+
+def test_only_a_grid_from_zero_takes_the_grid_path(monkeypatch, fig3_params):
+    exp_sum = build_wda_spectrum(fig3_params).poles()
+    h, n_steps = time_grid(fig3_params)
+    times = h * np.arange(n_steps + 1)
+    nudged = times.copy()
+    nudged[5000] = np.nextafter(nudged[5000], np.inf)
+    spaced = np.linspace(0.0, 40.0, 526)
+    assert spaced[-1] != spaced[1] * 525  # its end is the given 40, not 525 steps
+    calls = _grid_calls(monkeypatch)
+    for t in (spaced, nudged, times[100:], times[:1]):
+        assert exp_sum(t).tobytes() == _per_point(exp_sum, t).tobytes()
+    value = exp_sum(0.75)
+    assert value.shape == () and value.tobytes() == _per_point(exp_sum, np.array([0.75])).tobytes()
+    assert calls == []
 
 
 def test_truncation_ratio_second_harmonic_small(fig3_params):
