@@ -25,6 +25,7 @@ from .params import SystemParams, build_params, load_config, regime_flags
 from .scenarios import (
     FIGURE_PARAMS,
     SPECTRUM_BAND,
+    _wda_trace,
     correlation_table,
     peak_entries,
     run_scenario,
@@ -34,7 +35,7 @@ from .scenarios import (
     write_summary,
 )
 from .spectrum import fourier_spectrum
-from .wda import build_wda_spectrum, wda_population
+from .wda import build_wda_spectrum
 
 
 class StrictRegimeError(EffbathError):
@@ -134,7 +135,7 @@ def _wda(args, params) -> dict:
     spectrum = build_wda_spectrum(params)  # a Delta past the double range fails in its pole equation first
     step, n_steps = time_grid(params, step=args.step, horizon=args.horizon)
     t = step * np.arange(n_steps + 1)
-    return {"P_wda.csv": (["t", "P"], [t, wda_population(t, spectrum)]),
+    return {"P_wda.csv": (["t", "P"], [t, _wda_trace(t, spectrum)]),
             "wda_report.txt": wda_entries(spectrum, params)}
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import accel
-from .correlation import CorrelationFn, closed_form_correlation, interpolated_correlation
+from .correlation import CorrelationFn, closed_form_correlation, exp_tables, interpolated_correlation
 from .errors import GridTooLargeError, NonFiniteStateError, NonPositiveError, StepTooLargeError
 from .params import DerivedScales, SystemParams, derived_scales
 
@@ -54,20 +54,6 @@ class TimeSeries:
     @property
     def times(self) -> np.ndarray:
         return self.h * np.arange(self.values.shape[0])
-
-
-def exp_tables(exponent, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tables with exp(exponent(k)) = coarse[q] * fine[r] for k = q*B + r < count, up to rounding.
-
-    ``exponent`` is linear in the integer array k, and B = isqrt(count - 1)
-    + 1: coarse[q] = exp(exponent(q*B)) and fine[r] = exp(exponent(r)), so
-    the outer product of about 2*sqrt(count) exp values holds all count
-    of them ("subvector scaling", Van Loan, Computational Frameworks for
-    the FFT, SIAM 1992, sec. 1.4).
-    """
-    block = math.isqrt(count - 1) + 1
-    coarse = np.exp(exponent(block * np.arange(-(-count // block))))
-    return coarse, np.exp(exponent(np.arange(block)))
 
 
 def _fastest_frequency(p: SystemParams, scales: DerivedScales) -> float:
@@ -123,14 +109,27 @@ def time_grid(
 def niba_kernels(
     corr: CorrelationFn, delta: float, epsilon: float, h: float, n_steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The kernels (Ks, Ka) sampled on t_n = n*h, n = 0..n_steps."""
-    t = h * np.arange(n_steps + 1)
+    """The kernels (Ks, Ka) sampled on t_n = n*h, n = 0..n_steps.
+
+    The grid is this function's own, so ``corr.pair`` takes S and R on it
+    (the closed form from ``exp_tables``), and the bias factors
+    cos(epsilon*t_n) and sin(epsilon*t_n) are the real and imaginary parts
+    of e^{i*epsilon*h*n}, from the same tables: one complex product per
+    sample, where np.cos and np.sin take one transcendental each.  The
+    phase epsilon*h*n differs from epsilon*t_n by rounding alone.  Per
+    sample, exp(-S) and cos(R), and sin(R) when biased, stay.
+    """
+    count = n_steps + 1
+    t = h * np.arange(count)
     s_val, r_val = corr.pair(t)
     envelope = delta**2 * np.exp(-s_val)
     ks = envelope * np.cos(r_val)
     if epsilon == 0.0:  # cos(0) = 1 would leave every bit of ks as it is, and Ka vanishes
-        return ks, np.zeros(n_steps + 1)
-    return ks * np.cos(epsilon * t), envelope * np.sin(r_val) * np.sin(epsilon * t)
+        return ks, np.zeros(count)
+    rate = complex(0.0, epsilon * h)
+    bias = np.multiply.outer(*exp_tables(lambda k: rate * k, count)).ravel()[:count]
+    ks *= bias.real
+    return ks, envelope * np.sin(r_val) * bias.imag
 
 
 def solve_gme(h: float, ks: np.ndarray, ka: np.ndarray) -> TimeSeries:

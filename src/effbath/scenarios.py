@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .correlation import closed_form_correlation, quadrature_correlation, wda_coefficients, wda_split
-from .errors import NonPositiveError, NoPeaksError, ZeroDampingError
+from .errors import NonFiniteStateError, NonPositiveError, NoPeaksError, ZeroDampingError
 from .gme import TimeSeries, simulate_population
 from .params import SystemParams, convert_couplings, derived_scales, regime_flags
 from .spectral import (
@@ -344,11 +344,29 @@ def write_correlation_csv(path: Path, p: SystemParams, tau_max: float = 30.0, po
     write_csv(path, *correlation_table(p, tau_max=tau_max, points=points))
 
 
+def _wda_trace(times: np.ndarray, spectrum) -> np.ndarray:
+    """The analytic trace on ``times``, for a bundle: NonFiniteStateError where it leaves the double range.
+
+    A pole that grows (gamma*kappa < 0) overflows, and ``wda_population``
+    does not flag it; the sweep calls that directly and pays no check.
+    numpy's overflow warnings give way to this one error.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = wda_population(times, spectrum)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NonFiniteStateError(
+            f"WDA trace is not finite from t = {times[bad[0]]:.6g}: its poles decay at gamma*kappa = "
+            f"{spectrum.gamma * spectrum.kappa_plus:.3g}, {spectrum.gamma * spectrum.kappa_minus:.3g}"
+        )
+    return values
+
+
 def _population_pair(params: SystemParams):
     """NIBA trace and the matching analytic trace on the same grid."""
     series = simulate_population(params)
     spectrum = build_wda_spectrum(params)
-    analytic = TimeSeries(h=series.h, values=wda_population(series.times, spectrum))
+    analytic = TimeSeries(h=series.h, values=_wda_trace(series.times, spectrum))
     return series, analytic, spectrum
 
 

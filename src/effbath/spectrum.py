@@ -7,8 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .correlation import exp_tables
 from .errors import NonPositiveError, NoPeaksError, TooShortError
-from .gme import TimeSeries, exp_tables
+from .gme import TimeSeries
 
 __all__ = ["SpectrumResult", "Peak", "fourier_spectrum", "peak_extract"]
 
@@ -87,7 +88,7 @@ def _twiddle(n_pad: int) -> np.ndarray:
     """exp(-2*pi*i*k/n_pad) for k = 0..n_pad//2, the unpacking factors of ``_packed_full_band``, read-only.
 
     w^k = w^(q*B) * w^r for k = q*B + r, B about sqrt(n_pad/2): the two
-    short ``exp`` tables of ``gme.exp_tables`` and one outer product.  Up
+    short tables of ``correlation.exp_tables`` and one outer product.  Up
     to n_pad = 10^6 that lies within 1e-15 of exp(-2*pi*i*k/n_pad) taken
     per k, at a sixth to a twelfth of its cost.
     """

@@ -25,14 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import WdaCoefficients, wda_coefficients
+from .correlation import WdaCoefficients, _is_grid, exp_tables, wda_coefficients
 from .errors import (
     ComplexFrequencyError,
     NoConvergenceError,
     RegimeWarning,
     RootSwapError,
 )
-from .gme import exp_tables
 from .params import DerivedScales, SystemParams, derived_scales
 
 __all__ = [
@@ -84,14 +83,19 @@ class ExpSum:
     and takes a term with real s once.  It has two paths with one sum:
 
     - on a uniform grid, a 1-D ``t`` of n > 1 samples equal to
-      ``t[1] * np.arange(n)``, each term comes from two exp tables of
-      about sqrt(n) values, ``gme.exp_tables``, and two real outer
-      products, so no sample takes a cos or sin;
+      ``t[1] * np.arange(n)`` (``correlation._is_grid``), each term comes
+      from two exp tables of about sqrt(n) values,
+      ``correlation.exp_tables``, and two real outer products, so no
+      sample takes a cos or sin;
     - any other ``t`` (a scalar, a ``linspace``, an offset slice) takes
       one real exp and one cos and sin per sample and term.
 
     Both add the terms in the same order, and each term is exactly Re a at
-    t = 0, so f(0) is the sum of the Re a as written.
+    t = 0, so f(0) is the sum of the Re a as written.  Neither flags a
+    term that overflows: there the grid path gives nan (inf - inf in the
+    outer products) where the per-sample path gives +-inf, and its first
+    non-finite sample can move by up to a block of about sqrt(n) samples.
+    The CLI and the scenarios check the WDA trace they write is finite.
     """
 
     rates: tuple[complex, ...]
@@ -122,8 +126,7 @@ class ExpSum:
 
     def __call__(self, t):
         time = np.asarray(t, dtype=float)
-        n = time.size
-        if time.ndim == 1 and n > 1 and np.array_equal(time, time[1] * np.arange(n)):
+        if _is_grid(time):
             return self._on_grid(time)
         result = np.zeros_like(time)
         for s, a, m in self._real_parts():

@@ -14,6 +14,7 @@ from effbath.cli import main
 from effbath.gme import simulate_population
 from effbath.params import build_params
 from effbath.scenarios import FIGURE_PARAMS, run_scenario, write_csv
+from effbath.wda import WdaSpectrum
 
 SRC = Path(effbath.__file__).resolve().parent.parent
 
@@ -187,6 +188,24 @@ def test_a_delta_past_the_double_range_is_one_error_line(tmp_path, capsys, delta
     assert main(["wda", "--config", str(_fig3_config(tmp_path, delta)), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("effbath: error: pole equation") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _growing_spectrum(params, scales=None):
+    """A WDA spectrum whose minus pole grows as e^{10 t}: its trace leaves the double range near t = 71."""
+    return WdaSpectrum(u0=0j, gamma=1.0, omega_plus=0.9, omega_minus=1.1, kappa_plus=0.1, kappa_minus=-10.0,
+                       weight_plus=0.5, weight_minus=0.5, sine_plus=0.0, sine_minus=0.0)
+
+
+@pytest.mark.parametrize("command, module", [("wda", cli), ("custom", scenarios)])
+def test_a_wda_trace_past_the_double_range_is_one_error_line(tmp_path, monkeypatch, capsys, command, module):
+    # no figure set has a growing pole, so one is made by hand; on its grid the trace
+    # turns to nan (per sample to +-inf), and no file of it is written
+    monkeypatch.setattr(module, "build_wda_spectrum", _growing_spectrum)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(_fig3_config(tmp_path, 1.0)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("effbath: error: WDA trace is not finite from t = 7") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -12,6 +12,7 @@ from effbath.correlation import (
     QUADRATURE_ATOL,
     closed_form_correlation,
     correlation_quadrature,
+    exp_tables,
     interpolated_correlation,
     quadrature_correlation,
     wda_coefficients,
@@ -106,6 +107,67 @@ def test_closed_form_s_nonnegative(raw):
     corr = closed_form_correlation(p, s)
     tau = np.linspace(0.0, 60.0, 2400)
     assert np.asarray(corr.S(tau)).min() >= 0.0
+
+
+def _grid_calls(monkeypatch) -> list:
+    """Record each ``exp_tables`` call of the closed form's grid path."""
+    calls = []
+
+    def counted(exponent, count):
+        calls.append(count)
+        return exp_tables(exponent, count)
+
+    monkeypatch.setattr(correlation, "exp_tables", counted)
+    return calls
+
+
+def _per_sample(pair, t: np.ndarray):
+    """The per-sample path: a 2-D ``t`` never takes the grid path."""
+    s_val, r_val = pair(t[None, :])
+    return s_val[0], r_val[0]
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig5", "biased"])
+def test_the_closed_form_on_a_grid_agrees_with_the_per_sample_path(monkeypatch, name):
+    # e^{z*tau}, z = -gb + i*Om1, from the exp tables or from exp, cos and sin per sample:
+    # each path rounds the phase once or twice, and exp, cos, sin or the tables' products a
+    # few times, at most 16 eps * (1 + |z|*tau) * e^{-gb*tau}; S and R take it times the
+    # amplitudes (L, Z and I, N), and their sums round within 16 eps of the terms' sizes
+    raw = dict(FIGURE_PARAMS["fig3"], epsilon=0.1) if name == "biased" else FIGURE_PARAMS[name]
+    p = build_params(raw)
+    s = derived_scales(p)
+    h, n_steps = time_grid(p, s)
+    t = h * np.arange(156_560 if name == "biased" else n_steps + 1)  # the benchmark's longest grid
+    amp = {key: abs(value) for key, value in closed_form_amplitudes(p, s).items()}
+    pair = closed_form_correlation(p, s).pair
+    calls = _grid_calls(monkeypatch)
+    s_grid, r_grid = pair(t)
+    assert calls == [t.size]
+    s_ref, r_ref = _per_sample(pair, t)
+    eps16 = 16.0 * np.finfo(float).eps
+    wave = eps16 * np.max((1.0 + abs(complex(s.gammabar, s.Omega1)) * t) * np.exp(-s.gammabar * t))
+    bound_s = wave * (amp["L"] + amp["Z"]) + eps16 * (amp["X"] * t[-1] + 2.0 * amp["L"] + amp["Z"])
+    bound_r = wave * (amp["I"] + amp["N"]) + eps16 * (2.0 * amp["I"] + amp["N"])
+    assert np.abs(s_grid - s_ref).max() <= bound_s
+    assert np.abs(r_grid - r_ref).max() <= bound_r
+    assert s_grid[0] == r_grid[0] == 0.0
+
+
+def test_only_a_grid_from_zero_takes_the_closed_form_tables(monkeypatch, fig3_params, fig3_scales):
+    pair = closed_form_correlation(fig3_params, fig3_scales).pair
+    h, n_steps = time_grid(fig3_params, fig3_scales)
+    times = h * np.arange(n_steps + 1)
+    nudged = times.copy()
+    nudged[5000] = np.nextafter(nudged[5000], np.inf)
+    spaced = np.linspace(0.0, 40.0, 526)
+    assert spaced[-1] != spaced[1] * 525  # its end is the given 40, not 525 steps
+    calls = _grid_calls(monkeypatch)
+    for t in (spaced, nudged, times[100:], times[:1]):
+        for value, ref in zip(pair(t), _per_sample(pair, t)):
+            assert value.tobytes() == ref.tobytes()
+    for value, ref in zip(pair(0.75), _per_sample(pair, np.array([0.75]))):
+        assert value.shape == () and value.tobytes() == ref.tobytes()
+    assert calls == []
 
 
 def test_quadrature_at_zero():

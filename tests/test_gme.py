@@ -87,6 +87,25 @@ def test_unbiased_kernels_keep_the_bits_of_the_bias_factors(fig3_params, fig3_sc
     assert ka.tobytes() == np.zeros(n_steps + 1).tobytes()  # +0.0 everywhere
 
 
+def test_biased_kernels_take_the_bias_factors_from_the_grid(fig3_params, fig3_scales):
+    # cos(epsilon*t) and sin(epsilon*t) are e^{i*epsilon*h*k} from the exp tables; against
+    # np.cos and np.sin of epsilon*t the phases differ by rounding, and each path rounds a few
+    # times more: at most 16 eps * (1 + |epsilon|*t) of the envelope Delta^2 e^{-S}, the
+    # benchmark's longest grid included
+    epsilon = 0.1
+    corr = closed_form_correlation(fig3_params, fig3_scales)
+    h = default_step(fig3_params, fig3_scales)
+    for n_steps in (2000, 156_559):
+        ks, ka = niba_kernels(corr, fig3_params.Delta, epsilon, h, n_steps)
+        t = h * np.arange(n_steps + 1)
+        s_val, r_val = corr.pair(t)
+        envelope = fig3_params.Delta**2 * np.exp(-s_val)
+        bound = 16.0 * np.finfo(float).eps * (1.0 + epsilon * t) * envelope
+        assert (np.abs(ks - envelope * np.cos(r_val) * np.cos(epsilon * t)) <= bound).all()
+        assert (np.abs(ka - envelope * np.sin(r_val) * np.sin(epsilon * t)) <= bound).all()
+        assert ka[0] == 0.0
+
+
 def test_kernels_envelope_bound(fig3_params, fig3_scales):
     corr = closed_form_correlation(fig3_params, fig3_scales)
     ks, ka = niba_kernels(corr, fig3_params.Delta, 0.0, 0.02, 2000)
@@ -151,6 +170,29 @@ _LEAF = accel._LEAF
 
 
 _SIZES = {1, 2, 127, 128, 129, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 1, 4 * _LEAF + 1, 7 * _LEAF + 3, 5003}
+
+
+def _forward_substitution(w, n):
+    """The leaf's inverse column u[:n], one dot per coefficient: u[d] = -sum_{i<d} w[d-i] u[i], u[0] = 1."""
+    u = np.empty(n)
+    u[0] = 1.0
+    for d in range(1, n):
+        u[d] = -w[d:0:-1].dot(u[:d])
+    return u
+
+
+@pytest.mark.parametrize("tag", ["fig3", "fig5"])
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, _LEAF - 1, _LEAF])
+def test_the_leaf_inverse_by_doubling_matches_forward_substitution(tag, n):
+    # u solves T u = e0 for the unit lower-triangular Toeplitz T of w[:n]; either way its
+    # error is within n eps cond(T) |u|, cond(T) <= |w[:n]|_1 * |u|_1 (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2002, Thm 8.5), taken twice, once per method
+    h, ks, ka_int, _ = _march_inputs(build_params(FIGURE_PARAMS[tag]), n)
+    w, u, _ = accel._leaf_constants(h, ks, ka_int, n)
+    ref = _forward_substitution(w, n)
+    assert u.shape == (n,) and u[0] == 1.0
+    bound = 2.0 * n * np.finfo(float).eps * np.abs(w[:n]).sum() * np.abs(ref).sum() * np.abs(ref).max()
+    assert np.abs(u - ref).max() <= bound
 
 
 @pytest.mark.parametrize("n_steps", sorted(_SIZES))

@@ -7,10 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from effbath.correlation import wda_coefficients
 from effbath.gme import simulate_population
-from effbath.params import build_params
+from effbath.params import build_params, derived_scales
 from effbath.scenarios import FIGURE_PARAMS
-from effbath.wda import build_wda_spectrum, wda_population
+from effbath.wda import build_wda_spectrum, effective_tunneling, first_order_pole, wda_population
+
+_INPUTS = ("Omega", "alpha", "g", "gamma", "Delta", "beta")
 
 
 def _traces(p):
@@ -18,17 +21,17 @@ def _traces(p):
     return series.values, wda_population(series.times, build_wda_spectrum(p))
 
 
-def _units_times_2(p):
-    # Omega, the couplings and the qubit in units twice as small, beta twice as large:
-    # every product of a frequency and a time is unchanged, and scaling by 2 is exact
-    return replace(p, Omega=2 * p.Omega, alpha=2 * p.alpha, g=2 * p.g, gamma=2 * p.gamma,
-                   Delta=2 * p.Delta, epsilon=2 * p.epsilon, beta=p.beta / 2)
+def _units(p, c):
+    # Omega, the couplings and the qubit in units c times as small, beta c times as large:
+    # every product of a frequency and a time is unchanged
+    return replace(p, Omega=c * p.Omega, alpha=c * p.alpha, g=c * p.g, gamma=c * p.gamma,
+                   Delta=c * p.Delta, epsilon=c * p.epsilon, beta=p.beta / c)
 
 
 @pytest.mark.parametrize("tag", ["fig3", "fig5"])
 @pytest.mark.parametrize("change", [
     lambda p: replace(p, g=-p.g),  # the coupling enters P through g**2 alone
-    _units_times_2,
+    lambda p: _units(p, 2),  # scaling by 2 is exact
     lambda p: replace(p, M=3.7, q0=0.4, mu=9.0),  # bare-unit inputs reach only the bare-unit columns
 ], ids=["g_sign", "units_times_2", "bare_units"])
 def test_p_is_bit_identical_under(tag, change):
@@ -38,6 +41,49 @@ def test_p_is_bit_identical_under(tag, change):
     assert niba_changed.shape == niba.shape  # the same number of steps
     assert niba_changed.tobytes() == niba.tobytes()
     assert wda_changed.tobytes() == wda.tobytes()
+
+
+def _condition_numbers(p, series, wda):
+    """(NIBA, WDA) sums of max_t |dP/d ln x| on the run's grid, by finite differences.
+
+    x runs over the inputs, and for the WDA also over its two pole
+    frequencies, which round on their own: moving one moves its kappa and
+    sine amplitude, which near resonance carry Omega1/|omega - Omega1|.
+    """
+    h, n_steps = series.h, series.values.size - 1
+    cond_niba = cond_wda = 0.0
+    for name in _INPUTS:
+        moved = replace(p, **{name: getattr(p, name) * (1.0 + 1e-7)})
+        cond_niba += np.abs(simulate_population(moved, step=h, horizon=n_steps * h).values - series.values).max() / 1e-7
+        cond_wda += np.abs(wda_population(series.times, build_wda_spectrum(moved)) - wda).max() / 1e-7
+    scales = derived_scales(p)
+    coeffs = wda_coefficients(p, scales)
+    tun = effective_tunneling(coeffs, scales, p.Delta, p.beta)
+    spectrum = build_wda_spectrum(p)
+    for pole in ("plus", "minus"):
+        omega = getattr(spectrum, f"omega_{pole}") * (1.0 + 1e-9)
+        kappa, sine = first_order_pole(tun, coeffs, scales.Omega1, omega, getattr(spectrum, f"weight_{pole}"), p.gamma)
+        moved = replace(spectrum, **{f"omega_{pole}": omega, f"kappa_{pole}": kappa, f"sine_{pole}": sine})
+        cond_wda += np.abs(wda_population(series.times, moved) - wda).max() / 1e-9
+    return cond_niba, cond_wda
+
+
+@pytest.mark.parametrize("tag", ["fig3", "fig5"])
+def test_p_moves_by_rounding_alone_in_other_units(tag):
+    # at c = 3 and 0.7 each scaled input, the grid step and each quantity computed from
+    # them round differently: up to 16 eps relative in each, taken through P's condition
+    # numbers.  fig5 lies omega_minus - Omega1 = 4.6e-5 from resonance, where the WDA's
+    # pole frequencies carry most of it (about 7e4 against 1e2 from the inputs)
+    p = build_params(FIGURE_PARAMS[tag])
+    series = simulate_population(p)
+    wda = wda_population(series.times, build_wda_spectrum(p))
+    cond_niba, cond_wda = _condition_numbers(p, series, wda)
+    eps16 = 16.0 * np.finfo(float).eps
+    for c in (3.0, 0.7):
+        niba_changed, wda_changed = _traces(_units(p, c))
+        assert niba_changed.shape == series.values.shape  # the same number of steps
+        assert np.abs(niba_changed - series.values).max() <= eps16 * cond_niba
+        assert np.abs(wda_changed - wda).max() <= eps16 * cond_wda
 
 
 @pytest.mark.parametrize("tag", ["fig3", "fig5"])

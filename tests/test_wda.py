@@ -6,9 +6,9 @@ import pytest
 from scipy.integrate import quad
 
 from effbath import wda
-from effbath.correlation import wda_coefficients, wda_split
+from effbath.correlation import exp_tables, wda_coefficients, wda_split
 from effbath.errors import ComplexFrequencyError, RegimeWarning
-from effbath.gme import default_step, exp_tables, time_grid
+from effbath.gme import default_step, time_grid
 from effbath.params import build_params, derived_scales
 from effbath.scenarios import FIGURE_PARAMS
 from effbath.wda import (
