@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--omega-max", type=float, default=3.0, help="grid end in units of Omega")
     sub.add_argument("--points", type=int, default=1500)
 
-    sub = commands.add_parser("correlation", help="bath correlation CSV (quadrature + closed forms)")
+    sub = commands.add_parser("correlation", help="bath correlation CSV (exact residue sums + closed forms)")
     _add_common(sub)
     sub.add_argument("--tau-max", type=float, default=30.0, help="grid end in units of 1/Omega")
     sub.add_argument("--points", type=int, default=121)

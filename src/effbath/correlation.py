@@ -1,51 +1,56 @@
 """Bath correlation function Q(tau) = S(tau) + i*R(tau), three ways.
 
-* ``quadrature_correlation``: adaptive quadrature of the defining
-  frequency integral (oracle), one ``correlation_quadrature`` per tau,
-  with G(w)/w^2 computed once per node of its tau-independent pieces;
-  ``interpolated_correlation`` integrates only at Chebyshev nodes and
-  interpolates the smooth quadrature-minus-closed-form difference, for
-  the march's kernels;
+* ``quadrature_correlation``: the defining frequency integrals
+  S = int_0^inf G/w^2 * coth(beta*w/2) * (1 - cos(w*tau)) dw and
+  R = int_0^inf G/w^2 * sin(w*tau) dw, summed exactly over the poles of
+  G/w^2 and of coth by ``residue_sums``, each with a stated error bound;
+  the oracle for the CSV and the march's validation kernels;
 * ``closed_form_correlation``: closed form for the Lorentzian-peaked
   effective bath, or at zero damping, where it is singular, the split's
   undamped limit;
 * ``wda_split``: weak-damping split into zeroth- and first-order-in-gamma pieces.
 
 The closed forms neglect Matsubara terms and apply the near-resonance
-pole reduction, so quadrature and closed form agree only within a small,
-temperature-dependent tolerance; that gap is asserted, not hidden.
+pole reduction, so the exact sums and the closed form agree only within
+a small, temperature-dependent tolerance; that gap is asserted, not hidden.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-import weakref
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureNonConvergence, ZeroDampingError
+from .errors import AccuracyError, ZeroDampingError
+from .expint import EULER_GAMMA, exp_e1, exp_e1_real, exp_ei
 from .params import DerivedScales, SystemParams
-from .spectral import geff_function
 
 __all__ = [
     "WdaCoefficients",
     "CorrelationFn",
     "wda_coefficients",
     "wda_split",
-    "correlation_quadrature",
     "closed_form_correlation",
+    "residue_sums",
     "quadrature_correlation",
-    "interpolated_correlation",
 ]
 
-# Chebyshev-Lobatto node count of the first interpolant; each next one
-# doubles the intervals (17, 33, 65, ...) and keeps every earlier node
-_FIRST_NODES = 9
-# absolute tolerance of each quadrature and of the Chebyshev fit's tail
+# absolute error the correlation CSV and the validation march ask of the exact sums
 QUADRATURE_ATOL = 1e-8
+# rounding allowed each term of the residue sums, in ulps of its size: the
+# exponential integrals lie within 16 ulps of their values, or (2|z| + 8) of
+# their series' summed terms (tests/test_expint.py), and forming and scaling
+# a term adds a few
+_RESIDUE_ULPS = 32.0
+# a Matsubara term with x = nu_n*tau >= _ASYMPTOTIC_X takes D(x) from its
+# asymptotic series, _TAIL_TERMS terms of it, summed over n in closed form
+_ASYMPTOTIC_X = 40.0
+_TAIL_TERMS = 10
+# explicit Matsubara terms per tau at most, and per array at once
+_MAX_TERMS = 1 << 16
+_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -64,7 +69,7 @@ class WdaCoefficients:
 class CorrelationFn:
     """One evaluator ``pair(tau) -> (S, R)`` with provenance tag."""
 
-    kind: str  # "quadrature" | "closed-form" | "wda-split"
+    kind: str  # "exact" | "closed-form" | "wda-split"
     pair: Callable
 
     def S(self, tau):
@@ -142,161 +147,6 @@ def wda_split(tau, coeffs: WdaCoefficients, scales: DerivedScales):
     return s0, s1, r0, r1
 
 
-class _OverSquare(dict):
-    """f = G(w)/w^2 by node w, computed on the first request."""
-
-    __slots__ = ("geff",)
-
-    def __init__(self, geff):
-        self.geff = geff
-
-    def __missing__(self, w):
-        value = self[w] = self.geff(w) / w**2
-        return value
-
-
-class _TimesCoth(dict):
-    """f*coth(beta*w/2) by node w, computed from the f table on the first request."""
-
-    __slots__ = ("f", "half_beta")
-
-    def __init__(self, f, half_beta):
-        self.f = f
-        self.half_beta = half_beta
-
-    def __missing__(self, w):
-        value = self[w] = self.f[w] * _coth(self.half_beta * w)
-        return value
-
-
-def _node_tables(geff, half_beta):
-    """Empty tables of f = G/w^2 and of f*coth(beta*w/2), the second filled from the first."""
-    f = _OverSquare(geff)
-    return f, _TimesCoth(f, half_beta)
-
-
-def correlation_quadrature(
-    tau: float,
-    geff_fn: Callable,
-    beta: float,
-    atol: float = QUADRATURE_ATOL,
-    peak: float | None = None,
-    peak_width: float | None = None,
-    omega_max: float = 1000.0,
-):
-    """S(tau), R(tau) by adaptive quadrature of the defining integrals.
-
-    S = int_0^inf dw G(w)/w^2 * coth(beta*w/2) * (1 - cos(w*tau)),
-    R = int_0^inf dw G(w)/w^2 * sin(w*tau).
-
-    ``geff_fn`` must be Ohmic-like (G(w)/w^2 finite*1/w as w -> 0).  The
-    oscillatory factors are handled with Clenshaw-Curtis weighted
-    quadrature; the integration range is split at the spectral peak (when
-    given) and at w = 2*pi/tau.  ``tau`` must be finite and >= 0; anything
-    else raises ValueError before any integral runs.  Raises
-    QuadratureNonConvergence with the achieved error estimate, and
-    QUADPACK's own messages, when the combined estimate exceeds ``atol``;
-    within ``atol`` QUADPACK's warnings are issued again after the
-    integrals.  A ``geff_fn`` that carries a ``node_values`` dict, as the
-    evaluator's G does, keeps there by beta its values at the nodes of the
-    pieces whose ends do not depend on tau; any other gets them for this
-    call alone.
-    """
-    if not (math.isfinite(tau) and tau >= 0.0):
-        raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
-    if tau == 0.0:
-        return 0.0, 0.0
-    from scipy.integrate import IntegrationWarning, quad  # here, so the package imports without scipy
-
-    # QUADPACK reads f = G/w^2 and f*coth(beta*w/2) from tables that compute a
-    # node on its first request and look it up, in C, on every later one.  A
-    # piece whose ends do not depend on tau reads the tables the evaluator's G
-    # carries, which hold G weakly; a piece from or to 2*pi/tau reads this
-    # tau's own.  A G that carries none gets tables for this call
-    half_beta = 0.5 * beta
-    own = _node_tables(geff_fn, half_beta)
-    by_beta = getattr(geff_fn, "node_values", None)
-    if by_beta is None:
-        shared = own
-    else:
-        shared = by_beta.get(beta)
-        if shared is None:
-            shared = by_beta[beta] = _node_tables(weakref.proxy(geff_fn), half_beta)
-    cos, sin = math.cos, math.sin
-
-    # knots: stay below one oscillation period before splitting off cos/sin;
-    # the [0, a0] pieces use plain quadrature (interior nodes only) because
-    # f itself is 1/w-singular at the origin even though the integrands are
-    # finite there
-    period = 2.0 * math.pi / tau
-    a0 = min(period, omega_max)
-    if peak is not None:
-        width = 5.0 * (peak_width if peak_width is not None else 0.1 * peak)
-        a0 = min(a0, max(peak - width, 0.25 * peak))
-        knots = [x for x in (peak - width, peak + width) if a0 < x < omega_max]
-    else:
-        knots = []
-    edges = [a0] + knots + [omega_max]
-
-    # [0, a0] ends where the first piece past it starts, at 2*pi/tau or not
-    f_0, f_coth_0 = own if a0 == period else shared
-
-    def s_integrand(w):
-        return f_coth_0[w] * (1.0 - cos(w * tau))
-
-    def r_integrand(w):
-        return f_0[w] * sin(w * tau)
-
-    eps = atol / (4 + 3 * len(edges))
-    # the evaluator's G carries a memo of the smooth pieces int_lo^hi f*coth;
-    # QUADPACK is deterministic, so a hit returns the bits that integrating
-    # the piece again would.  A piece that warned is not kept: integrated
-    # again for each tau, it gives the same bits and the same warnings.  A
-    # piece from 2*pi/tau serves this tau alone and is not kept either
-    memo = getattr(geff_fn, "smooth_pieces", {})
-
-    def piece(fn, a, b, **weight):
-        return quad(fn, a, b, epsabs=eps, epsrel=1e-10, limit=400, **weight)
-
-    # QUADPACK's warnings are caught once per tau, not per node or per piece
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IntegrationWarning)
-        s_val, total_err = piece(s_integrand, 0.0, a0)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            f_coth = (own if lo == period else shared)[1].__getitem__
-            key = (beta, lo, hi, eps)
-            if key in memo:
-                smooth, err1 = memo[key]
-            else:
-                start = len(caught)
-                smooth, err1 = piece(f_coth, lo, hi)
-                if lo != period and len(caught) == start:
-                    memo[key] = (smooth, err1)
-            osc, err2 = piece(f_coth, lo, hi, weight="cos", wvar=tau)
-            s_val += smooth - osc
-            total_err += err1 + err2
-
-        r_val, err = piece(r_integrand, 0.0, a0)
-        total_err += err
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            f = (own if lo == period else shared)[0].__getitem__
-            value, err = piece(f, lo, hi, weight="sin", wvar=tau)
-            r_val += value
-            total_err += err
-
-    if total_err > atol:
-        quadpack = dict.fromkeys(" ".join(str(w.message).split()) for w in caught
-                                 if issubclass(w.category, IntegrationWarning))
-        raise QuadratureNonConvergence(
-            f"correlation quadrature at tau = {tau:g} reached abs error {total_err:.3e} > atol {atol:.3e}"
-            + "".join(f"; QUADPACK: {text}" for text in quadpack),
-            achieved=total_err,
-        )
-    for w in caught:
-        warnings.warn(w.message, stacklevel=2)
-    return s_val, r_val
-
-
 def closed_form_correlation(p: SystemParams, scales: DerivedScales) -> CorrelationFn:
     """Closed-form evaluator; the weak-damping split at zero damping.
 
@@ -355,114 +205,228 @@ def closed_form_correlation(p: SystemParams, scales: DerivedScales) -> Correlati
     return CorrelationFn(kind="closed-form", pair=pair)
 
 
+
+
+def residue_sums(p: SystemParams, scales: DerivedScales) -> Callable:
+    """``sums(tau) -> (S, R, bound)``: the correlation integrals summed over residues, with an error bound.
+
+    f = G/w^2 = 2*A*Om1/[w*(w + Om1)*(w - p)*(w - conj(p))] = sum_q c_q/(w - q),
+    q in {0, -Om1, p, conj(p)}, p = Om1 + i*gb, A = 2*varsigma*Omega^2 and
+    c_q = 2*A*Om1/prod_{q' != q}(q - q').  With J(q, tau) = int_0^inf
+    e^{i*w*tau}/(w - q) dw = e^{i*q*tau}*E1(i*q*tau), plus 2*pi*i*e^{i*q*tau}
+    when tau > 0, Re q >= 0 and Im q > 0, minus it when tau < 0, Re q > 0
+    and Im q < 0 (E1 on its principal branch):
+
+      R = (pi/2)*c_0 + Im sum_{q != 0} c_q*J(q, tau);
+      S = (pi*c_0/beta)*tau + c_1*(ln tau + gamma_E)
+          + sum_{q != 0} Re[c_q*coth(beta*q/2)*K(q, tau)] + sum_{n >= 1} M_n(tau),
+
+    from the double and simple poles of f*coth(beta*w/2) at 0 (c_1 =
+    (2/beta)*sum_{q != 0} c_q/(-q)), its poles at f's, and the pairs at
+    +-i*nu_n, nu_n = 2*pi*n/beta.  K(q, tau) = -ln(-q) - [J(q, tau) +
+    J(q, -tau)]/2 omits a ln of the cut-off, which cancels since the
+    residues sum to 0.  At +-i*nu_n, J reduces to the real e^x*E1(x) and
+    e^-x*Ei(x), x = nu_n*tau, and the pair gives
+
+      M_n = (4/beta)*[Re F_n*(D(x) - ln nu_n) - Im F_n*(pi/2)*(1 - e^{-x})],
+
+    F_n = f(i*nu_n) and D(x) = [e^-x*Ei(x) - e^x*E1(x)]/2.  The terms free
+    of tau are summed once, to n = max(4096, 256*(Om1 + |p|)/nu_1), plus
+    the integral of their nu^-4 tail past it.  Below x = 40 each M_n is summed
+    as it stands; from there D(x) = sum_j (2j-1)!/x^{2j} to 10 terms, and
+    the sums over n of Re F_n/nu_n^{2j} are formed once per call, so a tau
+    takes about 40/(nu_1*tau) explicit terms, at most 2^16.  Past that cap
+    the rest of the terms is bounded, not summed.
+
+    ``bound`` is the larger of S's and R's error bounds at each tau:
+    32 ulps of the summed magnitudes of the terms, with the phases of
+    i*p*tau and -i*Om1*tau counted as rounded, plus the truncations.  The
+    residues at p and conj(p) grow as A/gb while S and R stay of order A,
+    so the bound carries the eps/gb lost to their cancellation.  S(0) = R(0) = 0
+    exactly; a tau that is negative or not finite raises ValueError before
+    any sum runs.  gamma = 0 raises ZeroDampingError: the poles at p and
+    conj(p) meet on the real axis.
+    """
+    gb = scales.gammabar
+    if gb == 0.0:
+        raise ZeroDampingError(f"gamma = {p.gamma}: undamped, G(omega) is a line at Omega1, whose correlation"
+                               " integrals have no residues to sum; the closed-form evaluator takes gamma = 0")
+    om1, beta = scales.Omega1, p.beta
+    numerator = 4.0 * scales.varsigma * p.Omega**2 * om1  # 2*A*Om1
+    pole = complex(om1, gb)
+    c_0 = numerator / (om1 * abs(pole) ** 2)
+    c_m = -numerator / (om1 * abs(om1 + pole) ** 2)
+    c_p = numerator / (pole * (pole + om1) * 2j * gb)
+    c_1 = 2.0 / beta * (c_m / om1 - 2.0 * (c_p / pole).real)
+    half_p = 0.5 * beta * pole
+    coth_p = 1.0 - 2.0 * np.exp(-2.0 * half_p) / np.expm1(-2.0 * half_p)
+    pole_m = c_m * -_coth(0.5 * beta * om1)  # c_q*coth(beta*q/2) at q = -Om1
+    pole_p = c_p * coth_p
+    log_m, log_p = math.log(om1), complex(np.log(-pole))
+    nu_1 = 2.0 * math.pi / beta
+    eps = np.finfo(float).eps
+
+    def weights(n):
+        """(4/beta)*F_n at the Matsubara indices n."""
+        w = 1j * nu_1 * n
+        return (4.0 / beta) * numerator / (w * (w + om1) * (w - pole) * (w - pole.conjugate()))
+
+    def far_tail(count: int, power: int) -> float:
+        """(4/beta)*2*A*Om1*sum_{n > count} nu_n^{-power}, by the integral from count + 1/2."""
+        return (4.0 / beta) * numerator / (nu_1 * (power - 1) * (nu_1 * (count + 0.5)) ** (power - 1))
+
+    # the tau-free terms, to the n where (Om1 + |p|)/nu_n < 1/256, and their tail
+    count = max(4096, math.ceil(256.0 * (om1 + abs(pole)) / nu_1))
+    n = np.arange(1, count + 1)
+    w = weights(n)
+    fixed = w.real * -np.log(nu_1 * n) - w.imag * (0.5 * math.pi)
+    nu_far = nu_1 * (count + 0.5)
+    # Re F ~ 2*A*Om1/nu^4 and Im F ~ -2*A*Om1^2/nu^5: sum of -ln(nu)/nu^4 + (pi/2)*Om1/nu^5
+    fixed_far = far_tail(count, 4) * (-math.log(nu_far) - 1.0 / 3.0) + far_tail(count, 5) * 0.5 * math.pi * om1
+    constant = float(fixed.sum()) + fixed_far
+    # the far tail's next orders: (Om1 + |p|)^2/nu^2 of it, and the midpoint rule's 1/count^2
+    constant_size = float(np.abs(fixed).sum()) + abs(fixed_far)
+    constant_err = 4.0 * abs(fixed_far) * (((om1 + abs(pole)) / nu_far) ** 2 + 1.0 / count**2)
+
+    def explicit_terms(tau, explicit, w_n):
+        """sum_{n <= explicit} M_n(tau) less its tau-free part, and the summed magnitudes of its terms.
+
+        The taus go in chunks of whole taus of at most _CHUNK terms (or one
+        tau).  e^-x*Ei(x) from its series carries (2x + 8) ulps of its
+        value, past _RESIDUE_ULPS once x > 12, and its magnitude is counted so.
+        """
+        value, size = np.zeros(tau.shape), np.zeros(tau.shape)
+        ends = np.cumsum(explicit)
+        start = 0
+        while start < tau.size:
+            done = ends[start - 1] if start else 0
+            stop = max(int(np.searchsorted(ends, done + _CHUNK, side="right")), start + 1)
+            counts = explicit[start:stop]
+            if counts.any():
+                owner = np.repeat(np.arange(stop - start), counts)
+                index = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+                x = nu_1 * (index + 1) * tau[start:stop][owner]
+                ei, e1 = exp_ei(x), exp_e1_real(x)
+                chosen = w_n[index]
+                decay = (0.5 * math.pi) * np.exp(-x)
+                terms = chosen.real * (0.5 * (ei - e1)) + chosen.imag * decay
+                ei_size = np.abs(ei) * np.maximum(1.0, (2.0 * x + 8.0) / _RESIDUE_ULPS)
+                sizes = np.abs(chosen.real) * (0.5 * (ei_size + np.abs(e1))) + np.abs(chosen.imag) * decay
+                value[start:stop] = np.bincount(owner, terms, stop - start)
+                size[start:stop] = np.bincount(owner, sizes, stop - start)
+            start = stop
+        return value, size
+
+    def asymptotic_tail(tau, explicit, w_n):
+        """sum_{n > explicit} M_n(tau) less its tau-free part, and a bound on its error.
+
+        From x = _ASYMPTOTIC_X, D(x) ~ sum_j (2j-1)!/x^{2j}, and twice the first
+        omitted term bounds the rest while j < x; summed over n through
+        T_j(m) = sum_{n > m} (4/beta)*Re F_n/nu_n^{2j}, as suffix sums over
+        the n of ``w_n`` and past them the integral of the nu^-4 tail, whose
+        next orders are (Om1 + |p|)^2/nu^2 of it and the midpoint rule's
+        1/n^2.  The e^-x terms past m are at most the largest |Im F_n| times
+        a geometric series.  A tau whose explicit terms hit the cap short of
+        _ASYMPTOTIC_X takes no tail: |D(x)| <= gamma_E + 1 + |ln x| and
+        |Re F_n| + (pi/2)*|Im F_n| <= 2.6*|F_n| <= 5.2*(4/beta)*2*A*Om1/nu_n^4
+        (so long as nu_n > 2*|p|) bound it, summed as the integral from the cap.
+        """
+        last = w_n.size
+        x_next = nu_1 * (explicit + 1) * tau
+        err = 5.2 * far_tail(_MAX_TERMS, 4) * (EULER_GAMMA + 1.0 + np.abs(np.log(x_next)))
+        tail = np.zeros(tau.shape)
+        reached = x_next >= _ASYMPTOTIC_X
+        m, t = explicit[reached], tau[reached]
+        nu = nu_1 * np.arange(1, last + 1)
+        far_rel = 4.0 * (((om1 + abs(pole)) / (nu_1 * last)) ** 2 + 1.0 / last**2)
+        part, far_err = np.zeros(t.shape), np.zeros(t.shape)
+        inv_sq = 1.0 / (t * t)
+        scale = np.ones(t.shape)  # (2j-1)!/tau^{2j}
+        for j in range(1, _TAIL_TERMS + 2):
+            scale = scale * inv_sq * ((2 * j - 1) * (2 * j - 2) if j > 1 else 1.0)
+            suffix = np.append(np.cumsum((w_n.real * nu ** (-2.0 * j))[::-1])[::-1], 0.0)
+            far = far_tail(last, 4 + 2 * j)
+            term = scale * (suffix[m] + far)
+            if j <= _TAIL_TERMS:
+                part += term
+                far_err += scale * (far * far_rel)
+        im_top = np.append(np.maximum.accumulate(np.abs(w_n.imag)[::-1])[::-1], 0.0)
+        exp_err = im_top[m] * (0.5 * math.pi) * np.exp(-x_next[reached]) / -np.expm1(-nu_1 * t)
+        tail[reached] = part
+        err[reached] = 2.0 * np.abs(term) + far_err + exp_err
+        return tail, err
+
+    def matsubara(tau):
+        """sum_n M_n(tau) less its tau-free part, the summed magnitudes of its terms, and its truncation bound.
+
+        A tau takes the n with x = nu_n*tau < _ASYMPTOTIC_X one by one, at
+        most _MAX_TERMS of them, and the rest from D's asymptotic series.
+        """
+        explicit = np.clip(np.ceil(_ASYMPTOTIC_X / (nu_1 * tau)) - 1.0, 0.0, _MAX_TERMS).astype(np.int64)
+        last = int(explicit.max()) + 1024
+        w_n = w[:last] if w.size >= last else weights(np.arange(1, last + 1))
+        value, size = explicit_terms(tau, explicit, w_n)
+        tail, err = asymptotic_tail(tau, explicit, w_n)
+        return value + tail, size + np.abs(tail), err
+
+    def sums(tau):
+        t = np.asarray(tau, dtype=float)
+        if not np.all(np.isfinite(t) & (t >= 0.0)):
+            raise ValueError(f"tau must be finite and >= 0, got {t[~(np.isfinite(t) & (t >= 0.0))].ravel()[0]!r}")
+        s_val, r_val, bound = np.zeros(t.shape), np.zeros(t.shape), np.zeros(t.shape)
+        live = t > 0.0
+        if not live.any():
+            return s_val, r_val, bound
+        tau = t[live]
+        z_m = -1j * om1 * tau
+        z_p = 1j * pole * tau
+        e_m, e_plus, e_minus = exp_e1(z_m), exp_e1(z_p), exp_e1(-z_p)
+        wave = 2j * math.pi * np.exp(z_p)
+        # J(-Om1, +-tau) = e_m and its conjugate; J(p, tau) = e_plus + wave, J(p, -tau) =
+        # e_minus; J(conj p, -+tau) are the conjugates of J(p, +-tau)
+        r_part = 0.5 * math.pi * c_0 + c_m * e_m.imag + (c_p * (e_plus + wave - e_minus)).imag
+        k_m = -log_m - e_m.real
+        k_p = -log_p - 0.5 * (e_plus + wave + e_minus)
+        log_tau = np.log(tau)
+        v_val, v_size, v_err = matsubara(tau)
+        s_part = ((math.pi * c_0 / beta) * tau + c_1 * (log_tau + EULER_GAMMA) + pole_m * k_m
+                  + 2.0 * (pole_p * k_p).real + constant + v_val)
+        # magnitudes: e^z*E1(z) moves by (|z*e^z*E1(z)| + 1)*eps as z rounds, the wave by
+        # |z|*eps, and (1 + |z|)*32 ulps covers the (2|z| + 8) of E1's series too
+        size_m = (1.0 + np.abs(z_m)) * np.abs(e_m) + 1.0
+        size_p = (1.0 + np.abs(z_p)) * (np.abs(e_plus) + np.abs(wave) + np.abs(e_minus)) + 2.0
+        r_size = 0.5 * math.pi * c_0 + abs(c_m) * size_m + abs(c_p) * size_p
+        s_size = ((math.pi * c_0 / beta) * tau + abs(c_1) * (np.abs(log_tau) + EULER_GAMMA)
+                  + abs(pole_m) * (abs(log_m) + size_m) + 2.0 * abs(pole_p) * (abs(log_p) + size_p)
+                  + constant_size + v_size)
+        s_val[live], r_val[live] = s_part, r_part
+        bound[live] = _RESIDUE_ULPS * eps * np.maximum(s_size, r_size) + constant_err + v_err
+        return s_val, r_val, bound
+
+    return sums
+
+
 def quadrature_correlation(
     p: SystemParams, scales: DerivedScales, atol: float = QUADRATURE_ATOL
 ) -> CorrelationFn:
-    """Quadrature evaluator of the correlation integrals for these params.
+    """Exact evaluator of the correlation integrals for these params, by ``residue_sums``.
 
-    Each tau is integrated once; S and R come out of the same call, in the
-    shape of tau.  It fills the correlation CSV; the march's kernels come
-    from ``interpolated_correlation``, which calls it at Chebyshev nodes.
-    The smooth pieces int G/w^2*coth(beta*w/2) between the knots do not
-    depend on tau: each that QUADPACK integrates without a warning is
-    integrated once per evaluator and reused, with the same bits, by every
-    later tau with the same knots.  Nor do the nodes QUADPACK places on
-    pieces whose ends do not depend on tau: G(w)/w^2 and its product with
-    coth(beta*w/2) are computed once per node and evaluator and looked up
-    by every later piece and tau, again with the same bits.  Nodes of the
-    pieces from or to 2*pi/tau are kept for that tau alone, so the
-    evaluator's tables stop growing after a few thousand nodes.
-    gamma = 0, where G(omega) is a line, raises ZeroDampingError.
+    S and R come out of one call, in the shape of tau.  It fills the
+    correlation CSV and the march's validation kernels.  ``atol`` is a
+    bound the sums must meet, not a target: they are always computed to
+    their own accuracy, and a tau whose stated error bound exceeds
+    ``atol`` raises AccuracyError with the largest bound.  gamma = 0
+    raises ZeroDampingError.
     """
-    if scales.gammabar == 0.0:
-        raise ZeroDampingError(f"gamma = {p.gamma}: undamped, G(omega) is a line at Omega1, which no quadrature"
-                               " resolves; the closed-form evaluator takes gamma = 0")
-
-    # G's constants are bound once; G carries the memo of the smooth pieces
-    # and the tables of its values at the nodes, so it is called once per
-    # node this evaluator's tau-independent pieces ask for.  Each tau looks
-    # correlation_quadrature up in this module, so perfbench's tracer counts
-    # every tau
-    geff_fn = geff_function(p, scales)
-    geff_fn.smooth_pieces = {}
-    geff_fn.node_values = {}
-
-    def one(tau):
-        return correlation_quadrature(tau, geff_fn, p.beta, atol=atol, peak=scales.Omega1,
-                                      peak_width=scales.gammabar)
+    sums = residue_sums(p, scales)
 
     def pair(tau):
-        arr = np.asarray(tau, dtype=float)
-        if arr.ndim == 0:
-            return one(float(arr))
-        values = np.array([one(float(t)) for t in arr.ravel()], dtype=float).reshape(-1, 2)
-        return values[:, 0].reshape(arr.shape), values[:, 1].reshape(arr.shape)
+        s_val, r_val, bound = sums(tau)
+        worst = float(bound.max(initial=0.0))
+        if worst > atol:
+            at = float(np.asarray(tau, dtype=float).ravel()[np.argmax(bound.ravel())])
+            raise AccuracyError(f"correlation residues at tau = {at:g} carry an error bound of {worst:.3e}"
+                                f" > atol {atol:.3e}", achieved=worst)
+        return s_val, r_val
 
-    return CorrelationFn(kind="quadrature", pair=pair)
-
-
-def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients of the interpolant through each row's values at cos(pi*j/n), j = 0..n.
-
-    One DCT-I per row, taken as the real FFT of the even extension.
-    """
-    n = values.shape[1] - 1
-    extended = np.concatenate([values, values[:, n - 1 : 0 : -1]], axis=1)
-    coeffs = np.fft.rfft(extended, axis=1).real / n
-    coeffs[:, [0, n]] /= 2.0
-    return coeffs
-
-
-def _clenshaw(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Each row of ``coeffs`` summed as a Chebyshev series at x in [-1, 1], by Clenshaw's recurrence."""
-    two_x = 2.0 * x
-    b1 = b2 = np.zeros((coeffs.shape[0], x.shape[0]))
-    for c in coeffs[:, :0:-1].T:
-        b1, b2 = c[:, None] + two_x * b1 - b2, b1
-    return coeffs[:, :1] + x * b1 - b2
-
-
-def interpolated_correlation(p: SystemParams, scales: DerivedScales) -> CorrelationFn:
-    """Quadrature evaluator for many tau: integrals at Chebyshev nodes only.
-
-    S and R come from the closed form plus the difference quadrature minus
-    closed form, which is smooth in tau (it holds the dropped Matsubara
-    terms and the pole reduction).  ``correlation_quadrature`` runs at the
-    nested Chebyshev-Lobatto nodes of [0, max tau], 9, 17, 33, ... of them,
-    each count keeping the nodes of the last; the differences there are
-    fitted by a DCT-I and summed at every tau by Clenshaw's recurrence
-    (Trefethen, Approximation Theory and Approximation Practice, SIAM
-    2013).  The fit stops once the largest of the last three coefficients
-    of both differences is at most ``QUADRATURE_ATOL``, the tolerance of
-    each integral.  When the next node count would not be below the
-    number of tau, or a tau is negative or not finite, each tau is
-    integrated once as ``quadrature_correlation`` does; after a fit the
-    tail rule rejected, that costs the node integrals on top and issues a
-    RuntimeWarning.  Kind "quadrature-chebyshev"; gamma = 0 raises
-    ZeroDampingError.
-    """
-    quad = quadrature_correlation(p, scales)
-    closed = closed_form_correlation(p, scales)
-
-    def pair(tau):
-        arr = np.asarray(tau, dtype=float)
-        flat = arr.ravel()
-        count = _FIRST_NODES
-        if count < flat.size and 0.0 <= flat.min() and 0.0 < flat.max() < math.inf:
-            span = flat.max()
-            diffs = None
-            while count < flat.size:
-                nodes = 0.5 * span * (1.0 + np.cos(np.pi * np.arange(count) / (count - 1)))
-                fresh = nodes if diffs is None else nodes[1::2]
-                new = np.subtract(quad.pair(fresh), closed.pair(fresh))
-                diffs = new if diffs is None else np.insert(diffs, np.arange(1, diffs.shape[1]), new, axis=1)
-                coeffs = _chebyshev_coefficients(diffs)
-                if np.abs(coeffs[:, -3:]).max() <= QUADRATURE_ATOL:
-                    s_val, r_val = np.add(closed.pair(flat), _clenshaw(coeffs, 2.0 * flat / span - 1.0))
-                    return s_val.reshape(arr.shape), r_val.reshape(arr.shape)
-                count = 2 * count - 1
-            warnings.warn(f"no Chebyshev fit of up to {diffs.shape[1]} nodes met the tail rule; integrating"
-                          f" each of the {flat.size} tau", RuntimeWarning, stacklevel=2)
-        return quad.pair(arr)
-
-    return CorrelationFn(kind="quadrature-chebyshev", pair=pair)
+    return CorrelationFn(kind="exact", pair=pair)

@@ -30,13 +30,13 @@ class ZeroLengthError(EffbathError, ValueError):
 
 
 class ZeroDampingError(EffbathError, ValueError):
-    """gamma = 0 in a spectral table or correlation quadrature: undamped, each density is a line."""
+    """gamma = 0 in a spectral table or the exact correlation: undamped, each density is a line."""
 
 
-class QuadratureNonConvergence(EffbathError, RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance.
+class AccuracyError(EffbathError, RuntimeError):
+    """An evaluator's stated error bound exceeds the tolerance asked of it.
 
-    Carries the achieved absolute-error estimate in ``achieved``.
+    Carries the bound in ``achieved``.
     """
 
     def __init__(self, message, achieved=None):

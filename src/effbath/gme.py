@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import accel
-from .correlation import CorrelationFn, closed_form_correlation, exp_tables, interpolated_correlation
+from .correlation import CorrelationFn, closed_form_correlation, exp_tables, quadrature_correlation
 from .errors import GridTooLargeError, NonFiniteStateError, NonPositiveError, StepTooLargeError
 from .params import DerivedScales, SystemParams, derived_scales
 
@@ -143,7 +143,7 @@ def solve_gme(h: float, ks: np.ndarray, ka: np.ndarray) -> TimeSeries:
     Raises NonFiniteStateError if the trace diverges.
     """
     n_steps = ks.shape[0] - 1
-    # running trapezoid integral of Ka from t = 0, summed as scipy's cumulative_trapezoid does
+    # running trapezoid integral of Ka from t = 0: the cumulative sum of h*(Ka[k] + Ka[k+1])/2
     ka_int = np.concatenate(([0.0], np.cumsum(h * (ka[1:] + ka[:-1]) / 2.0)))
     p, bad = accel.march(h, ks, ka_int, n_steps)
     if bad != -1:
@@ -161,12 +161,10 @@ def simulate_population(
     """Full pipeline: correlation function -> kernels -> P(t).
 
     ``correlation`` selects the evaluator: "closed" by default, or
-    "quadrature" for validation runs, whose kernels come from
-    ``interpolated_correlation``: quadrature at nested Chebyshev nodes on
-    [0, horizon] (129 for the fig3 grid), the smooth difference from the
-    closed form interpolated to every grid point (one integral per point
-    on a grid of 9 points or fewer).  The step must resolve Omega1, Delta
-    and |epsilon| with at least 40 points per period.
+    "quadrature" for validation runs, whose kernels come from the exact
+    residue sums of ``quadrature_correlation`` at every grid point.  The
+    step must resolve Omega1, Delta and |epsilon| with at least 40 points
+    per period.
     """
     if scales is None:
         scales = derived_scales(p)
@@ -182,7 +180,7 @@ def simulate_population(
     if correlation == "closed":
         corr = closed_form_correlation(p, scales)
     elif correlation == "quadrature":
-        corr = interpolated_correlation(p, scales)
+        corr = quadrature_correlation(p, scales)
     else:
         raise ValueError(f"unknown correlation evaluator {correlation!r}")
 

@@ -326,7 +326,10 @@ def spectral_table(p: SystemParams, omega_max: float = 3.0, points: int = 1500) 
 
 
 def correlation_table(p: SystemParams, tau_max: float = 30.0, points: int = 121) -> tuple[list, list]:
-    """Header and columns of S and R on ``points`` lags up to tau_max/Omega: quadrature, closed form, split."""
+    """Header and columns of S and R on ``points`` lags up to tau_max/Omega: quadrature, closed form, split.
+
+    The "quadrature" columns S_quad and R_quad hold the exact residue sums.
+    """
     _check_grid("tau_max", tau_max, points)
     scales = derived_scales(p)
     tau = np.linspace(0.0, tau_max / p.Omega, points)

@@ -1,0 +1,306 @@
+"""The tests' references for the bath correlation S(tau) + i*R(tau), independent of the package's sums.
+
+* ``quadpack_correlation`` / ``correlation_quadrature``: QUADPACK, by
+  scipy, of S = int_0^inf G(w)/w^2 * coth(beta*w/2) * (1 - cos(w*tau)) dw
+  and R = int_0^inf G(w)/w^2 * sin(w*tau) dw, cut at ``omega_max`` (1000
+  by default): the cut drops about 2*A*Om1/(3*omega_max^3) of S and of R,
+  1.2e-12 at fig3.  Criterion 04 and the accuracy tests of the residue
+  sums of ``effbath.correlation`` read it.
+* ``residues_mpmath``: the same residues as ``correlation.residue_sums``,
+  each summed by mpmath at 30 digits, its Matsubara series by ``nsum``.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+import weakref
+from typing import Callable
+
+import numpy as np
+from scipy.integrate import IntegrationWarning, quad
+
+from effbath.correlation import CorrelationFn
+from effbath.errors import ZeroDampingError
+from effbath.params import DerivedScales, SystemParams
+from effbath.spectral import geff_function
+
+# absolute tolerance of each quadrature
+QUADRATURE_ATOL = 1e-8
+
+
+class QuadratureNonConvergence(RuntimeError):
+    """Adaptive quadrature failed to reach the requested tolerance.
+
+    Carries the achieved absolute-error estimate in ``achieved``.
+    """
+
+    def __init__(self, message, achieved=None):
+        super().__init__(message)
+        self.achieved = achieved
+
+
+def _coth(x: float) -> float:
+    # 1 + 2/(e^{2x}-1), exact for x > 0 and overflow-safe
+    if x > 350.0:
+        return 1.0
+    return 1.0 + 2.0 / math.expm1(2.0 * x)
+
+
+class _OverSquare(dict):
+    """f = G(w)/w^2 by node w, computed on the first request."""
+
+    __slots__ = ("geff",)
+
+    def __init__(self, geff):
+        self.geff = geff
+
+    def __missing__(self, w):
+        value = self[w] = self.geff(w) / w**2
+        return value
+
+
+class _TimesCoth(dict):
+    """f*coth(beta*w/2) by node w, computed from the f table on the first request."""
+
+    __slots__ = ("f", "half_beta")
+
+    def __init__(self, f, half_beta):
+        self.f = f
+        self.half_beta = half_beta
+
+    def __missing__(self, w):
+        value = self[w] = self.f[w] * _coth(self.half_beta * w)
+        return value
+
+
+def _node_tables(geff, half_beta):
+    """Empty tables of f = G/w^2 and of f*coth(beta*w/2), the second filled from the first."""
+    f = _OverSquare(geff)
+    return f, _TimesCoth(f, half_beta)
+
+
+def correlation_quadrature(
+    tau: float,
+    geff_fn: Callable,
+    beta: float,
+    atol: float = QUADRATURE_ATOL,
+    peak: float | None = None,
+    peak_width: float | None = None,
+    omega_max: float = 1000.0,
+):
+    """S(tau), R(tau) by adaptive quadrature of the defining integrals.
+
+    S = int_0^inf dw G(w)/w^2 * coth(beta*w/2) * (1 - cos(w*tau)),
+    R = int_0^inf dw G(w)/w^2 * sin(w*tau).
+
+    ``geff_fn`` must be Ohmic-like (G(w)/w^2 finite*1/w as w -> 0).  The
+    oscillatory factors are handled with Clenshaw-Curtis weighted
+    quadrature; the integration range is split at the spectral peak (when
+    given) and at w = 2*pi/tau.  ``tau`` must be finite and >= 0; anything
+    else raises ValueError before any integral runs.  Raises
+    QuadratureNonConvergence with the achieved error estimate, and
+    QUADPACK's own messages, when the combined estimate exceeds ``atol``;
+    within ``atol`` QUADPACK's warnings are issued again after the
+    integrals.  A ``geff_fn`` that carries a ``node_values`` dict, as the
+    evaluator's G does, keeps there by beta its values at the nodes of the
+    pieces whose ends do not depend on tau; any other gets them for this
+    call alone.
+    """
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
+    if tau == 0.0:
+        return 0.0, 0.0
+
+    # QUADPACK reads f = G/w^2 and f*coth(beta*w/2) from tables that compute a
+    # node on its first request and look it up, in C, on every later one.  A
+    # piece whose ends do not depend on tau reads the tables the evaluator's G
+    # carries, which hold G weakly; a piece from or to 2*pi/tau reads this
+    # tau's own.  A G that carries none gets tables for this call
+    half_beta = 0.5 * beta
+    own = _node_tables(geff_fn, half_beta)
+    by_beta = getattr(geff_fn, "node_values", None)
+    if by_beta is None:
+        shared = own
+    else:
+        shared = by_beta.get(beta)
+        if shared is None:
+            shared = by_beta[beta] = _node_tables(weakref.proxy(geff_fn), half_beta)
+    cos, sin = math.cos, math.sin
+
+    # knots: stay below one oscillation period before splitting off cos/sin;
+    # the [0, a0] pieces use plain quadrature (interior nodes only) because
+    # f itself is 1/w-singular at the origin even though the integrands are
+    # finite there
+    period = 2.0 * math.pi / tau
+    a0 = min(period, omega_max)
+    if peak is not None:
+        width = 5.0 * (peak_width if peak_width is not None else 0.1 * peak)
+        a0 = min(a0, max(peak - width, 0.25 * peak))
+        knots = [x for x in (peak - width, peak + width) if a0 < x < omega_max]
+    else:
+        knots = []
+    edges = [a0] + knots + [omega_max]
+
+    # [0, a0] ends where the first piece past it starts, at 2*pi/tau or not
+    f_0, f_coth_0 = own if a0 == period else shared
+
+    def s_integrand(w):
+        return f_coth_0[w] * (1.0 - cos(w * tau))
+
+    def r_integrand(w):
+        return f_0[w] * sin(w * tau)
+
+    eps = atol / (4 + 3 * len(edges))
+    # the evaluator's G carries a memo of the smooth pieces int_lo^hi f*coth;
+    # QUADPACK is deterministic, so a hit returns the bits that integrating
+    # the piece again would.  A piece that warned is not kept: integrated
+    # again for each tau, it gives the same bits and the same warnings.  A
+    # piece from 2*pi/tau serves this tau alone and is not kept either
+    memo = getattr(geff_fn, "smooth_pieces", {})
+
+    def piece(fn, a, b, **weight):
+        return quad(fn, a, b, epsabs=eps, epsrel=1e-10, limit=400, **weight)
+
+    # QUADPACK's warnings are caught once per tau, not per node or per piece
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", IntegrationWarning)
+        s_val, total_err = piece(s_integrand, 0.0, a0)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            f_coth = (own if lo == period else shared)[1].__getitem__
+            key = (beta, lo, hi, eps)
+            if key in memo:
+                smooth, err1 = memo[key]
+            else:
+                start = len(caught)
+                smooth, err1 = piece(f_coth, lo, hi)
+                if lo != period and len(caught) == start:
+                    memo[key] = (smooth, err1)
+            osc, err2 = piece(f_coth, lo, hi, weight="cos", wvar=tau)
+            s_val += smooth - osc
+            total_err += err1 + err2
+
+        r_val, err = piece(r_integrand, 0.0, a0)
+        total_err += err
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            f = (own if lo == period else shared)[0].__getitem__
+            value, err = piece(f, lo, hi, weight="sin", wvar=tau)
+            r_val += value
+            total_err += err
+
+    if total_err > atol:
+        quadpack = dict.fromkeys(" ".join(str(w.message).split()) for w in caught
+                                 if issubclass(w.category, IntegrationWarning))
+        raise QuadratureNonConvergence(
+            f"correlation quadrature at tau = {tau:g} reached abs error {total_err:.3e} > atol {atol:.3e}"
+            + "".join(f"; QUADPACK: {text}" for text in quadpack),
+            achieved=total_err,
+        )
+    for w in caught:
+        warnings.warn(w.message, stacklevel=2)
+    return s_val, r_val
+
+
+def quadpack_correlation(
+    p: SystemParams, scales: DerivedScales, atol: float = QUADRATURE_ATOL
+) -> CorrelationFn:
+    """QUADPACK evaluator of the correlation integrals for these params.
+
+    Each tau is integrated once; S and R come out of the same call, in the
+    shape of tau.  The smooth pieces int G/w^2*coth(beta*w/2) between the knots do not
+    depend on tau: each that QUADPACK integrates without a warning is
+    integrated once per evaluator and reused, with the same bits, by every
+    later tau with the same knots.  Nor do the nodes QUADPACK places on
+    pieces whose ends do not depend on tau: G(w)/w^2 and its product with
+    coth(beta*w/2) are computed once per node and evaluator and looked up
+    by every later piece and tau, again with the same bits.  Nodes of the
+    pieces from or to 2*pi/tau are kept for that tau alone, so the
+    evaluator's tables stop growing after a few thousand nodes.
+    gamma = 0, where G(omega) is a line, raises ZeroDampingError.
+    """
+    if scales.gammabar == 0.0:
+        raise ZeroDampingError(f"gamma = {p.gamma}: undamped, G(omega) is a line at Omega1, which no quadrature"
+                               " resolves; the closed-form evaluator takes gamma = 0")
+
+    # G's constants are bound once; G carries the memo of the smooth pieces
+    # and the tables of its values at the nodes, so it is called once per
+    # node this evaluator's tau-independent pieces ask for.  Each tau looks
+    # correlation_quadrature up in this module, so a test can count every tau
+    geff_fn = geff_function(p, scales)
+    geff_fn.smooth_pieces = {}
+    geff_fn.node_values = {}
+
+    def one(tau):
+        return correlation_quadrature(tau, geff_fn, p.beta, atol=atol, peak=scales.Omega1,
+                                      peak_width=scales.gammabar)
+
+    def pair(tau):
+        arr = np.asarray(tau, dtype=float)
+        if arr.ndim == 0:
+            return one(float(arr))
+        values = np.array([one(float(t)) for t in arr.ravel()], dtype=float).reshape(-1, 2)
+        return values[:, 0].reshape(arr.shape), values[:, 1].reshape(arr.shape)
+
+    return CorrelationFn(kind="quadpack", pair=pair)
+
+
+def residues_mpmath(p: SystemParams, scales: DerivedScales, taus) -> list:
+    """[(S, R)] at each tau > 0 as mpmath numbers: the residue sums at 30 digits.
+
+    The inputs are the doubles of ``p`` and ``scales``, taken exactly; the
+    Matsubara terms free of tau are summed by Euler-Maclaurin, the rest by
+    ``nsum``'s default extrapolation.
+    """
+    import mpmath as mp
+
+    with mp.workdps(30):
+        om1, gb, beta = mp.mpf(scales.Omega1), mp.mpf(scales.gammabar), mp.mpf(p.beta)
+        numerator = 4 * mp.mpf(scales.varsigma) * mp.mpf(p.Omega) ** 2 * om1
+        pole = mp.mpc(om1, gb)
+        poles = [mp.mpf(0), -om1, pole, mp.conj(pole)]
+
+        def residue(q):
+            den = mp.mpf(1)
+            for other in poles:
+                if other != q:
+                    den *= q - other
+            return numerator / den
+
+        def f_matsubara(n):
+            w = 2j * mp.pi * n / beta
+            return numerator / (w * (w + om1) * (w - pole) * (w - mp.conj(pole)))
+
+        def fixed(n):
+            value = f_matsubara(n)
+            return 4 / beta * (-mp.re(value) * mp.log(2 * mp.pi * n / beta) - mp.im(value) * mp.pi / 2)
+
+        constant = mp.nsum(fixed, [1, mp.inf], method="euler-maclaurin")
+        c_0 = residue(poles[0])
+        c_1 = 2 / beta * sum(residue(q) / -q for q in poles[1:])
+        out = []
+        for tau in taus:
+            tau = mp.mpf(tau)
+
+            def big_j(q, t):
+                z = 1j * q * t
+                value = mp.exp(z) * mp.e1(z)
+                if t > 0 and mp.re(q) >= 0 and mp.im(q) > 0:
+                    value += 2j * mp.pi * mp.exp(z)
+                if t < 0 and mp.re(q) > 0 and mp.im(q) < 0:
+                    value -= 2j * mp.pi * mp.exp(z)
+                return value
+
+            def matsubara(n):
+                x = 2 * mp.pi * n / beta * tau
+                value = f_matsubara(n)
+                half_d = (mp.exp(-x) * mp.ei(x) - mp.exp(x) * mp.e1(x)) / 2
+                return 4 / beta * (mp.re(value) * half_d + mp.im(value) * mp.pi / 2 * mp.exp(-x))
+
+            r_val = mp.pi / 2 * c_0 + mp.im(sum(residue(q) * big_j(q, tau) for q in poles[1:]))
+            s_val = mp.pi * c_0 / beta * tau + c_1 * (mp.log(tau) + mp.euler) + constant
+            for q in poles[1:]:
+                k = -mp.log(-q) - (big_j(q, tau) + big_j(q, -tau)) / 2
+                s_val += mp.re(residue(q) * mp.coth(beta * q / 2) * k)
+            s_val += mp.nsum(matsubara, [1, mp.inf])
+            out.append((mp.re(s_val), mp.re(r_val)))
+        return out

@@ -12,9 +12,10 @@ import time
 import numpy as np
 import pytest
 
+from oracles import quadpack_correlation
+
 from effbath.correlation import (
     closed_form_correlation,
-    quadrature_correlation,
     wda_coefficients,
     wda_split,
 )
@@ -136,7 +137,7 @@ def test_criterion_04_correlation_oracle(fig3):
     s = derived_scales(fig3)
     start = time.perf_counter()
     tau = np.linspace(0.0, 30.0, 121)
-    quad = quadrature_correlation(fig3, s)
+    quad = quadpack_correlation(fig3, s)
     s_q, r_q = quad.pair(tau)
     elapsed = time.perf_counter() - start
     closed = closed_form_correlation(fig3, s)

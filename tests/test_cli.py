@@ -7,12 +7,14 @@ from types import ModuleType
 
 import numpy as np
 import pytest
+from oracles import residues_mpmath
 
 import effbath
 from effbath import cli, scenarios
 from effbath.cli import main
+from effbath.correlation import residue_sums
 from effbath.gme import simulate_population
-from effbath.params import build_params
+from effbath.params import build_params, derived_scales, load_config
 from effbath.scenarios import FIGURE_PARAMS, run_scenario, write_csv
 from effbath.wda import WdaSpectrum
 
@@ -455,19 +457,57 @@ def test_custom_rejects_zero_damping_before_any_march(tmp_path, monkeypatch, cap
 
 
 def test_a_quadrature_that_misses_its_budget_prints_one_error_line(tmp_path):
-    # at gamma = 1e-6 QUADPACK reports roundoff in its extrapolation table; its text
-    # belongs in the typed error, not in a warning printed before it
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(_FIG3_LIKE + "alpha=0.02\ng=0.18\ngamma=1e-6\n")
+    # at tau = 1e10 the rounding of S's linear growth alone, 32 ulps of about 1e7, passes
+    # the CSV's atol of 1e-8: the typed error names the tau and the bound, in one line,
+    # and nothing is written
     probe = (f"import sys\nsys.path.insert(0, {str(SRC)!r})\nfrom effbath.cli import main\n"
-             f"sys.exit(main(['correlation', '--points', '7', '--config', 'run.cfg', '--out', 'out']))")
+             f"sys.exit(main(['correlation', '--points', '3', '--tau-max', '1e10', '--out', 'out']))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           cwd=tmp_path, timeout=120)
     assert proc.returncode == 1
-    assert proc.stderr.startswith("effbath: error: correlation quadrature at tau = 5 reached abs error")
-    assert "QUADPACK: The algorithm does not converge. Roundoff error is detected" in proc.stderr
-    assert proc.stderr.count("\n") == 1 and "IntegrationWarning" not in proc.stderr
+    assert proc.stderr.startswith("effbath: error: correlation residues at tau = 1e+10 carry an error bound of")
+    assert proc.stderr.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("gamma, argv", [
+    ("1e-4", ["niba", "--correlation", "quadrature"]),
+    ("1e-6", ["correlation", "--points", "7"]),
+], ids=["niba_1e-4", "correlation_1e-6"])
+def test_the_exact_correlation_runs_at_small_damping(tmp_path, gamma, argv):
+    # QUADPACK stopped on both, short of its atol, as the resonance narrowed to gammabar;
+    # the residue sums hold at any gamma > 0.  Every value is finite, and S and R lie within
+    # their stated bound of the residues at 30 digits (the CSV's columns where there is one)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_FIG3_LIKE + f"alpha=0.02\ng=0.18\ngamma={gamma}\n")
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+    for path in out.glob("*.csv"):
+        assert np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1)).all(), path.name
+    p = build_params(load_config(cfg))
+    s = derived_scales(p)
+    tau = np.array([0.05, 2.0, 30.0])
+    s_val, r_val, bound = residue_sums(p, s)(tau)
+    if argv[0] == "correlation":
+        table = read_csv(out / "correlation.csv")
+        rows = [int(np.flatnonzero(table["tau"] == t)[0]) for t in (5.0, 15.0, 30.0)]
+        tau = table["tau"][rows]
+        s_val, r_val = table["S_quad"][rows], table["R_quad"][rows]
+        bound = residue_sums(p, s)(tau)[2]
+    for i, (s_ref, r_ref) in enumerate(residues_mpmath(p, s, tau.tolist())):
+        assert abs(s_val[i] - s_ref) <= bound[i] and abs(r_val[i] - r_ref) <= bound[i], tau[i]
+
+
+def test_no_subcommand_loads_scipy(tmp_path):
+    # each subcommand on its default set (custom, which needs a config, on fig3's), in an
+    # interpreter where importing scipy fails
+    (tmp_path / "fig3.cfg").write_text("".join(f"{k}={v!r}\n" for k, v in FIGURE_PARAMS["fig3"].items()))
+    runs = [["correlation"], ["niba", "--correlation", "quadrature"], ["spectral"], ["wda"],
+            ["custom", "--config", "fig3.cfg"], *(["figure", tag] for tag in sorted(FIGURE_PARAMS))]
+    code = ("sys.modules['scipy'] = None\nfrom effbath.cli import main\n"
+            + "".join(f"assert main({[*argv, '--out', f'out{i}']!r}) == 0, {argv!r}\n" for i, argv in enumerate(runs))
+            + "del sys.modules['scipy']")
+    assert _modules_after(tmp_path, code) == "[]"
 
 
 def _calls(tree):

@@ -4,21 +4,21 @@ import math
 import weakref
 
 import numpy as np
+import oracles
 import pytest
+from oracles import QuadratureNonConvergence, correlation_quadrature, quadpack_correlation, residues_mpmath
 from scipy.integrate import IntegrationWarning
 
 from effbath import correlation
 from effbath.correlation import (
-    QUADRATURE_ATOL,
     closed_form_correlation,
-    correlation_quadrature,
     exp_tables,
-    interpolated_correlation,
     quadrature_correlation,
+    residue_sums,
     wda_coefficients,
     wda_split,
 )
-from effbath.errors import QuadratureNonConvergence, ZeroDampingError
+from effbath.errors import AccuracyError, ZeroDampingError
 from effbath.gme import niba_kernels, simulate_population, time_grid
 from effbath.params import build_params, derived_scales
 from effbath.scenarios import FIGURE_PARAMS, spectral_table, write_correlation_csv
@@ -80,7 +80,8 @@ def test_coefficients_zero_temperature_limits():
 
 
 def test_quadrature_and_spectral_table_reject_zero_damping():
-    # undamped, each density is a line that neither a table nor a quadrature resolves
+    # undamped, each density is a line: a table does not resolve it, and the poles at
+    # Omega1 +- i*gammabar meet on the real axis, where the residue sums do not hold
     p = build_params(FIG3_UNDAMPED)
     with pytest.raises(ZeroDampingError, match="gamma = 0"):
         quadrature_correlation(p, derived_scales(p))
@@ -170,15 +171,25 @@ def test_only_a_grid_from_zero_takes_the_closed_form_tables(monkeypatch, fig3_pa
     assert calls == []
 
 
-def test_quadrature_at_zero():
+def test_quadrature_at_zero(fig3_params, fig3_scales):
+    # S(0) = R(0) = 0 exactly: alone, inside a grid, and with no bound; the oracle agrees
+    s_val, r_val, bound = residue_sums(fig3_params, fig3_scales)(np.array([0.0, 1.0, 0.0]))
+    assert s_val[0] == r_val[0] == bound[0] == s_val[2] == r_val[2] == 0.0 < s_val[1]
+    s_val, r_val = quadrature_correlation(fig3_params, fig3_scales).pair(0.0)
+    assert s_val.shape == r_val.shape == () and s_val == r_val == 0.0
     assert correlation_quadrature(0.0, lambda w: w, 10.0) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0])
-def test_quadrature_rejects_a_bad_tau_before_integrating(tau):
-    def never(w):
-        raise AssertionError("integrand called")
+def test_quadrature_rejects_a_bad_tau_before_integrating(monkeypatch, fig3_params, fig3_scales, tau):
+    def never(*args):
+        raise AssertionError("a sum ran")
 
+    sums = residue_sums(fig3_params, fig3_scales)
+    for name in ("exp_e1", "exp_e1_real", "exp_ei"):
+        monkeypatch.setattr(correlation, name, never)
+    with pytest.raises(ValueError, match="finite"):
+        sums(np.array([1.0, tau]))
     with pytest.raises(ValueError, match="finite"):
         correlation_quadrature(tau, never, 10.0)
 
@@ -230,7 +241,7 @@ def test_quadrature_float_integrand_matches_array_path(fig3_params, fig3_scales,
         return geff_function(p, s)(np.array([w]))[0]
 
     expected = correlation_quadrature(tau, array_path, p.beta, peak=s.Omega1, peak_width=s.gammabar)
-    assert quadrature_correlation(p, s).pair(tau) == expected
+    assert quadpack_correlation(p, s).pair(tau) == expected
 
 
 def test_one_evaluator_over_a_grid_matches_the_array_path(fig3_params, fig3_scales):
@@ -245,7 +256,7 @@ def test_one_evaluator_over_a_grid_matches_the_array_path(fig3_params, fig3_scal
     def array_path(w):
         return geff_function(p, s)(np.array([w]))[0]
 
-    s_val, r_val = quadrature_correlation(p, s).pair(grid)
+    s_val, r_val = quadpack_correlation(p, s).pair(grid)
     for i, tau in enumerate(grid.tolist()):
         expected = correlation_quadrature(tau, array_path, p.beta, peak=s.Omega1, peak_width=s.gammabar)
         assert (s_val[i], r_val[i]) == expected, tau
@@ -254,24 +265,22 @@ def test_one_evaluator_over_a_grid_matches_the_array_path(fig3_params, fig3_scal
 def test_a_second_tau_reuses_the_smooth_pieces(fig3_params, fig3_scales, monkeypatch):
     # tau = 1 and 2 share their knots, so the second starts no unweighted
     # quadrature above the first knot; a fresh evaluator gives the same bits
-    import scipy.integrate
-
     calls = []
-    real = scipy.integrate.quad
+    real = oracles.quad
 
     def counted(fn, a, b, **kwargs):
         calls.append((a, "weight" in kwargs))
         return real(fn, a, b, **kwargs)
 
-    monkeypatch.setattr(scipy.integrate, "quad", counted)
-    warm = quadrature_correlation(fig3_params, fig3_scales)
+    monkeypatch.setattr(oracles, "quad", counted)
+    warm = quadpack_correlation(fig3_params, fig3_scales)
     warm.pair(1.0)
     assert sum(a > 0.0 and not weighted for a, weighted in calls) == 2
     calls.clear()
     reused = warm.pair(2.0)
     assert sum(a > 0.0 and not weighted for a, weighted in calls) == 0
     assert len(calls) == 6  # [0, a0] for S and R, two cos- and two sin-weighted pieces
-    assert quadrature_correlation(fig3_params, fig3_scales).pair(2.0) == reused
+    assert quadpack_correlation(fig3_params, fig3_scales).pair(2.0) == reused
     # past 2*pi/(Omega1 - 5*gammabar) a first piece from 2*pi/tau joins the
     # knots (and a smaller epsabs, a new layout); it serves that tau alone, so a
     # second tau = 20 integrates it again and reuses the other two
@@ -312,7 +321,7 @@ def test_a_smooth_piece_that_warned_is_integrated_again():
 def counting_geff(monkeypatch):
     """Give each new evaluator a G that records its nodes; returns (nodes, each G made)."""
     nodes, made = [], []
-    real = correlation.geff_function
+    real = oracles.geff_function
 
     def make(p, s):
         g = real(p, s)
@@ -324,7 +333,7 @@ def counting_geff(monkeypatch):
         made.append(counted)
         return counted
 
-    monkeypatch.setattr(correlation, "geff_function", make)
+    monkeypatch.setattr(oracles, "geff_function", make)
     return nodes, made
 
 
@@ -338,7 +347,7 @@ def test_one_evaluator_calls_g_once_per_node(fig3_params, fig3_scales, monkeypat
     edge = s.Omega1 - 5.0 * s.gammabar
     grid = np.linspace(0.0, 30.0, 31)
     shared_only = grid < 2.0 * math.pi / edge
-    fn = quadrature_correlation(p, s)
+    fn = quadpack_correlation(p, s)
     fn.pair(grid[shared_only])
     assert len(nodes) == len(set(nodes)) > 0
     fn.pair(grid[~shared_only])
@@ -352,7 +361,7 @@ def test_deleting_an_evaluator_frees_its_g_without_the_cyclic_gc(fig3_params, fi
     _, made = counting_geff(monkeypatch)
     gc.disable()
     try:
-        fn = quadrature_correlation(fig3_params, fig3_scales)
+        fn = quadpack_correlation(fig3_params, fig3_scales)
         fn.pair(1.0)
         geff = made.pop()
         f, f_coth = geff.node_values[fig3_params.beta]
@@ -372,7 +381,7 @@ def test_the_shared_tables_keep_no_node_of_a_tau_alone(fig3_params, fig3_scales,
     edge = s.Omega1 - 5.0 * s.gammabar
     grid = np.linspace(12.0, 30.0, 10)
     assert grid.min() > 2.0 * math.pi / edge
-    quadrature_correlation(p, s).pair(grid)
+    quadpack_correlation(p, s).pair(grid)
     f, f_coth = made[0].node_values[p.beta]
     assert len(f) > 0 and len(f_coth) > 0
     assert min(f) >= edge and min(f_coth) >= edge
@@ -382,7 +391,6 @@ def test_every_evaluator_returns_the_shape_of_tau(fig3_params, fig3_scales):
     undamped = build_params(FIG3_UNDAMPED)
     grid = np.array([[0.0, 0.5], [1.5, 3.0]])
     for fn in (quadrature_correlation(fig3_params, fig3_scales),
-               interpolated_correlation(fig3_params, fig3_scales),
                closed_form_correlation(fig3_params, fig3_scales),
                closed_form_correlation(undamped, derived_scales(undamped))):
         s_flat, r_flat = fn.pair(grid.ravel())
@@ -395,82 +403,98 @@ def test_every_evaluator_returns_the_shape_of_tau(fig3_params, fig3_scales):
 
 
 def test_quadrature_integrates_each_tau_once(fig3_params, fig3_scales, monkeypatch, tmp_path):
+    # each tau > 0 takes its three exponential integrals at f's poles once, in one call
     calls = []
-    original = correlation.correlation_quadrature
+    original = correlation.exp_e1
 
-    def counted(tau, *args, **kwargs):
-        calls.append(tau)
-        return original(tau, *args, **kwargs)
+    def counted(z):
+        calls.append(np.size(z))
+        return original(z)
 
-    monkeypatch.setattr(correlation, "correlation_quadrature", counted)
+    monkeypatch.setattr(correlation, "exp_e1", counted)
     niba_kernels(quadrature_correlation(fig3_params, fig3_scales), fig3_params.Delta, 0.0, 0.1, 4)
-    assert len(calls) == 5
+    assert calls == [4, 4, 4]
     calls.clear()
     write_correlation_csv(tmp_path / "correlation.csv", fig3_params, points=7)
-    assert len(calls) == 7
-    # the correlation CSV never interpolates: its default 121 tau take one integral each
+    assert calls == [6, 6, 6]
     calls.clear()
     write_correlation_csv(tmp_path / "correlation.csv", fig3_params)
-    assert len(calls) == 121
-    # the march on the oracle benchmark's grid, 31 tau, stops at 17 Chebyshev nodes
+    assert calls == [120, 120, 120]
+    # the march on the oracle benchmark's grid, 31 tau, evaluates each of them
     calls.clear()
     simulate_population(fig3_params, step=0.1, horizon=3.0, correlation="quadrature")
-    assert len(calls) == 17
+    assert calls == [30, 30, 30]
 
 
-# The tail rule accepts a fit once the last three Chebyshev coefficients of
-# each difference are at most QUADRATURE_ATOL.  Over 9 to 257 nodes at fig3, fig5 and the
-# oracle grid the true error stayed within 9 times that tail (7.6 at fig3 with
-# 33 nodes, 8.8 with 257) wherever the tail lay above the quadrature's own
-# error; that error, 2.0e-8 at fig5 also for the per-tau path at atol 1e-8,
-# lies inside the same band
-KERNEL_PATH_BAND = 10.0 * QUADRATURE_ATOL
+def _cut_tail(p, s, omega_max=1000.0):
+    """Bound on the part of S or R that QUADPACK's cut at omega_max drops.
+
+    Past the cut f = G/w^2 <= 2*A*Om1/(w^2*(w - Om1)^2) (A = 2*varsigma*Omega^2),
+    |1 - cos| <= 2 and coth <= coth(beta*omega_max/2), so each drop is at most
+    2*coth*2*A*Om1/(3*(omega_max - Om1)^3).
+    """
+    coth = 1.0 / math.tanh(0.5 * p.beta * omega_max)
+    return 2.0 * coth * 4.0 * s.varsigma * p.Omega**2 * s.Omega1 / (3.0 * (omega_max - s.Omega1) ** 3)
 
 
-@pytest.mark.parametrize("tag, step, horizon", [("fig3", None, None), ("fig5", None, None), ("fig3", 0.1, 3.0)])
-def test_interpolated_kernels_match_a_tight_quadrature(tag, step, horizon):
-    p = build_params(FIGURE_PARAMS[tag])
+_QUADPACK_SETS = {"fig3": FIGURE_PARAMS["fig3"], "fig5": FIGURE_PARAMS["fig5"],
+                  "beta1": dict(FIGURE_PARAMS["fig3"], beta=1.0)}
+
+
+# QUADPACK at atol 1e-11 (2e-11 on criterion 04's grid, where it reaches 1.2e-11 at
+# tau = 3.5 and no less), its cut at w = 1000 (1.2e-12 of S at fig3, 2.5e-12 as bounded)
+# and the sums' own bound fit in 1e-10; they meet within 2e-12.  Criterion 04's grid,
+# 150 points of each set's march grid to tau = 100, and three taus below 40/(nu_1*2^16),
+# where the explicit Matsubara terms stop at 2^16 and the rest is bounded
+@pytest.mark.parametrize("tag", ["fig3", "fig5", "beta1", "criterion04"])
+def test_exact_sums_match_a_tight_quadrature(tag):
+    p = build_params(_QUADPACK_SETS.get(tag, FIGURE_PARAMS["fig3"]))
     s = derived_scales(p)
-    h, n_steps = time_grid(p, s, step, horizon)
-    t = h * np.arange(n_steps + 1)
-    s_val, r_val = interpolated_correlation(p, s).pair(t)
-    rows = np.random.default_rng(21).choice(t.size, min(150, t.size), replace=False)
-    s_ref, r_ref = quadrature_correlation(p, s, atol=1e-11).pair(t[rows])
-    assert np.abs(s_val[rows] - s_ref).max() <= KERNEL_PATH_BAND
-    assert np.abs(r_val[rows] - r_ref).max() <= KERNEL_PATH_BAND
+    if tag == "criterion04":
+        tau = np.linspace(0.0, 30.0, 121)
+    else:
+        h, n_steps = time_grid(p, s)
+        t = h * np.arange(n_steps + 1)
+        assert t[-1] <= 100.0 + h
+        capped = 40.0 * p.beta / (2.0 * math.pi * 2**16) * np.array([1e-5, 1e-2, 0.5])
+        tau = np.concatenate([capped, t[np.random.default_rng(21).choice(t.size, 150, replace=False)]])
+    s_val, r_val, bound = residue_sums(p, s)(tau)
+    atol = 2e-11 if tag == "criterion04" else 1e-11
+    s_ref, r_ref = quadpack_correlation(p, s, atol=atol).pair(tau)
+    allowed = atol + _cut_tail(p, s) + bound
+    assert allowed.max() <= 1e-10
+    assert np.all(np.abs(s_val - s_ref) <= allowed)
+    assert np.all(np.abs(r_val - r_ref) <= allowed)
 
 
-def test_interpolated_correlation_integrates_each_tau_of_a_short_or_bad_grid(fig3_params, fig3_scales):
-    # 9 tau or fewer, a negative tau and a grid of zeros take the per-tau path
-    fn = interpolated_correlation(fig3_params, fig3_scales)
-    quad = quadrature_correlation(fig3_params, fig3_scales)
-    grid = np.linspace(0.0, 3.0, 9)
-    np.testing.assert_array_equal(fn.pair(grid), quad.pair(grid))
-    np.testing.assert_array_equal(fn.pair(np.zeros(12)), np.zeros((2, 12)))
-    with pytest.raises(ValueError, match="tau must be finite"):
-        fn.pair(np.linspace(-1.0, 3.0, 12))
+# the residues at 30 digits; gamma = 1e-4 and 1e-6 are the damping at which QUADPACK failed
+_MPMATH_SETS = {
+    "fig3": FIGURE_PARAMS["fig3"],
+    "fig5": FIGURE_PARAMS["fig5"],
+    "beta1": dict(FIGURE_PARAMS["fig3"], beta=1.0),
+    "gamma1e-4": dict(FIGURE_PARAMS["fig3"], gamma=1e-4),
+    "gamma1e-6": dict(FIGURE_PARAMS["fig3"], gamma=1e-6),
+}
 
 
-def test_interpolated_correlation_warns_when_it_gives_up_the_fit(fig3_params, fig3_scales, monkeypatch):
-    # 12 tau over fig3's horizon: 9 nodes leave a tail far above
-    # QUADRATURE_ATOL and 17 would not be below 12, so after the rejected
-    # fit each tau is integrated as the per-tau path does
-    calls = []
-    original = correlation.correlation_quadrature
-
-    def counted(tau, *args, **kwargs):
-        calls.append(tau)
-        return original(tau, *args, **kwargs)
-
-    monkeypatch.setattr(correlation, "correlation_quadrature", counted)
-    grid = np.linspace(0.0, 100.0, 12)
-    with pytest.warns(RuntimeWarning, match="no Chebyshev fit of up to 9 nodes met the tail rule"):
-        values = interpolated_correlation(fig3_params, fig3_scales).pair(grid)
-    assert len(calls) == 9 + 12
-    np.testing.assert_array_equal(values, quadrature_correlation(fig3_params, fig3_scales).pair(grid))
+@pytest.mark.parametrize("tag", sorted(_MPMATH_SETS))
+def test_exact_sums_lie_within_their_bound_of_30_digits(tag):
+    p = build_params(_MPMATH_SETS[tag])
+    s = derived_scales(p)
+    tau = np.array([0.05, 2.0, 30.0])
+    s_val, r_val, bound = residue_sums(p, s)(tau)
+    for i, (s_ref, r_ref) in enumerate(residues_mpmath(p, s, tau.tolist())):
+        assert abs(s_val[i] - s_ref) <= bound[i], (tau[i], float(s_val[i] - s_ref), bound[i])
+        assert abs(r_val[i] - r_ref) <= bound[i], (tau[i], float(r_val[i] - r_ref), bound[i])
 
 
 def test_quadrature_nonconvergence_reports_achieved(fig3_params, fig3_scales):
+    # an atol below the sums' own bound raises, carrying the bound, and never truncates to meet it
+    _, _, bound = residue_sums(fig3_params, fig3_scales)(np.array([2.0]))
+    with pytest.raises(AccuracyError, match="at tau = 2 carry an error bound") as err:
+        quadrature_correlation(fig3_params, fig3_scales, atol=1e-16).pair(2.0)
+    assert err.value.achieved == bound[0] > 1e-16
+    assert quadrature_correlation(fig3_params, fig3_scales, atol=bound[0]).pair(2.0)[0] > 0.0
     from effbath.spectral import geff_function
 
     fn = geff_function(fig3_params, fig3_scales)
@@ -534,8 +558,7 @@ def test_decoupled_correlation_vanishes(free_params):
 
 def test_correlation_fn_kinds(fig3_params, fig3_scales):
     assert closed_form_correlation(fig3_params, fig3_scales).kind == "closed-form"
-    assert quadrature_correlation(fig3_params, fig3_scales).kind == "quadrature"
-    assert interpolated_correlation(fig3_params, fig3_scales).kind == "quadrature-chebyshev"
+    assert quadrature_correlation(fig3_params, fig3_scales).kind == "exact"
     p = build_params(FIG3_UNDAMPED)
     s = derived_scales(p)
     w = closed_form_correlation(p, s)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from effbath.correlation import wda_coefficients
+from effbath.correlation import residue_sums, wda_coefficients
 from effbath.gme import simulate_population
 from effbath.params import build_params, derived_scales
 from effbath.scenarios import FIGURE_PARAMS
@@ -84,6 +84,37 @@ def test_p_moves_by_rounding_alone_in_other_units(tag):
         assert niba_changed.shape == series.values.shape  # the same number of steps
         assert np.abs(niba_changed - series.values).max() <= eps16 * cond_niba
         assert np.abs(wda_changed - wda).max() <= eps16 * cond_wda
+
+
+def _sums_condition(p, tau):
+    """Sum of max over tau of |d(S, R)/d ln y| for y in Omega1, gammabar, varsigma, beta and tau.
+
+    The exact sums read only these, and each rounds on its own in other
+    units; by finite differences, each y moved by 1e-7 of itself.
+    """
+    scales = derived_scales(p)
+    base = np.array(residue_sums(p, scales)(tau)[:2])
+    moves = [(p, replace(scales, **{name: getattr(scales, name) * (1.0 + 1e-7)}), tau)
+             for name in ("Omega1", "gammabar", "varsigma")]
+    moves += [(replace(p, beta=p.beta * (1.0 + 1e-7)), scales, tau), (p, scales, tau * (1.0 + 1e-7))]
+    return sum(np.abs(np.array(residue_sums(q, s)(t)[:2]) - base).max() / 1e-7 for q, s, t in moves)
+
+
+@pytest.mark.parametrize("tag", ["fig3", "fig5"])
+def test_the_exact_correlation_moves_by_rounding_alone_in_other_units(tag):
+    # frequencies times c, tau and beta over c: S and R are dimensionless, so they move only
+    # as the inputs and the quantities computed from them round, up to 16 eps relative in
+    # each, taken through their condition number, and by each evaluation's own stated bound,
+    # 32 ulps of its terms' magnitudes, where the residues at Omega1 +- i*gammabar carry 1/gammabar
+    p = build_params(FIGURE_PARAMS[tag])
+    tau = np.concatenate([[0.01, 0.3], np.linspace(1.0, 100.0, 60)])
+    s_val, r_val, bound = residue_sums(p, derived_scales(p))(tau)
+    allowed = 16.0 * np.finfo(float).eps * _sums_condition(p, tau)
+    for c in (3.0, 0.7):
+        q = _units(p, c)
+        s_new, r_new, bound_new = residue_sums(q, derived_scales(q))(tau / c)
+        assert np.all(np.abs(s_new - s_val) <= allowed + bound + bound_new)
+        assert np.all(np.abs(r_new - r_val) <= allowed + bound + bound_new)
 
 
 @pytest.mark.parametrize("tag", ["fig3", "fig5"])
