@@ -239,6 +239,9 @@ def main(argv=None) -> int:
     except (EffbathError, OSError, ValueError) as exc:
         print(f"effbath: error: {exc}", file=sys.stderr)
         return 1
+    except ArithmeticError as exc:  # a float operation past the double range that no input check refuses
+        print(f"effbath: error: a value left the double range: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -18,7 +18,11 @@ class NonPositiveError(EffbathError, ValueError):
 
 
 class GridTooLargeError(EffbathError, ValueError):
-    """A time grid has more steps than a run can hold."""
+    """A time grid, a table or a padded transform has more points than a run can hold."""
+
+
+class ScaleRangeError(EffbathError, ValueError):
+    """A derived scale leaves the double range: it is inf or nan, or rounds a divisor to 0."""
 
 
 class NegativeRateError(EffbathError, ValueError):

@@ -18,6 +18,7 @@ from .errors import (
     NegativeRateError,
     NonPositiveError,
     RegimeWarning,
+    ScaleRangeError,
     UnknownKeyError,
     ZeroLengthError,
 )
@@ -163,9 +164,11 @@ def derived_scales(p: SystemParams) -> DerivedScales:
     Raises NonPositiveError for alpha > Omega/6, where the first-order
     factor 1 - 6*alpha/Omega, and with it the effective density, turns
     negative; alpha is compared with Omega/6 itself, so the float Omega/6
-    passes however 1 - 6*alpha/Omega rounds.
+    passes however 1 - 6*alpha/Omega rounds.  Raises ScaleRangeError,
+    naming the scales and the inputs, where a scale is not finite.
     """
-    y0 = math.sqrt(1.0 / (p.M * p.Omega))
+    m_omega = p.M * p.Omega
+    y0 = math.sqrt(1.0 / m_omega) if m_omega > 0.0 else math.inf
     n1 = 1.0 - 1.5 * p.alpha / p.Omega
     omega1 = p.Omega + 3.0 * p.alpha
     nth = bose_occupation(omega1, p.beta)
@@ -178,8 +181,11 @@ def derived_scales(p: SystemParams) -> DerivedScales:
         )
     # at alpha = Omega/6 the factor can round to -2e-16; it is 0 there
     n1_pow4_first_order = max(n1_pow4_first_order, 0.0)
-    varsigma = p.g**2 * p.gamma * n1_pow4_first_order / (math.pi * p.Omega**3)
-    return DerivedScales(
+    try:
+        varsigma = p.g**2 * p.gamma * n1_pow4_first_order / (math.pi * p.Omega**3)
+    except (OverflowError, ZeroDivisionError):  # a float ** past the double range, or Omega**3 rounded to 0
+        varsigma = math.inf
+    scales = DerivedScales(
         y0=y0,
         n1=n1,
         n1_pow4=n1**4,
@@ -189,6 +195,13 @@ def derived_scales(p: SystemParams) -> DerivedScales:
         gammabar=gammabar,
         varsigma=varsigma,
     )
+    bad = [f"{name} = {value!r}" for name, value in vars(scales).items() if not math.isfinite(value)]
+    if bad:
+        raise ScaleRangeError(
+            f"the derived scales leave the double range ({', '.join(bad)}) at M = {p.M!r}, Omega = {p.Omega!r},"
+            f" alpha = {p.alpha!r}, g = {p.g!r}, gamma = {p.gamma!r}, beta = {p.beta!r}"
+        )
+    return scales
 
 
 def convert_couplings(p: SystemParams) -> tuple[float, float]:

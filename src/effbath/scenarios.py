@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .correlation import closed_form_correlation, quadrature_correlation, wda_coefficients, wda_split
-from .errors import NonFiniteStateError, NonPositiveError, NoPeaksError, ZeroDampingError
+from .errors import GridTooLargeError, NonFiniteStateError, NonPositiveError, NoPeaksError, ZeroDampingError
 from .gme import TimeSeries, simulate_population
 from .params import SystemParams, convert_couplings, derived_scales, regime_flags
 from .spectral import (
@@ -79,6 +79,9 @@ _PAD_FACTOR = 8
 _N_PEAKS = 2
 # spectra end at omega <= SPECTRUM_BAND*Omega, or further if fourier_spectrum widens the band to hold a line
 SPECTRUM_BAND = 3.0
+# a spectral or correlation table peaks near 290 bytes a point (its columns, the
+# sums' temporaries and the CSV text; measured at 4e5 points): 3 GB at this count
+_MAX_POINTS = 10**7
 
 # what the bundle of each population tag holds: (P traces, spectra)
 _CONTENTS = {"fig3": (True, False), "fig5": (True, False), "fig7": (True, False),
@@ -307,6 +310,8 @@ def _check_grid(name: str, end: float, points: int) -> None:
         raise NonPositiveError(f"{name} must be positive and finite, got {end}")
     if points < 1:
         raise NonPositiveError(f"points must be at least 1, got {points}")
+    if points > _MAX_POINTS:
+        raise GridTooLargeError(f"points is {points}, more than the {_MAX_POINTS:.0e} a table can hold")
 
 
 def _check_damped(p: SystemParams) -> None:

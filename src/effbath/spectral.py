@@ -92,12 +92,12 @@ def geff_function(p: SystemParams, scales: DerivedScales):
     Equals q0**2*J_eff/(pi*hbar) up to the first-order-in-alpha reduction
     Omega1*n1**2 ~ Omega; independent of q0.
 
-    Returned as a one-argument function with its constants bound once, so
-    a caller that asks for one node at a time, as an adaptive quadrature
-    does, pays no attribute lookup per constant; a float in gives a float
-    out.  Given a numpy array it computes elementwise, in the same order
-    of operations, except that a float squares by pow() and an array by a
-    product, which can differ in the last bit.
+    Returned as a one-argument function with its constants bound once.
+    The package passes it a numpy array, which it computes elementwise; a
+    float in, as the tests' QUADPACK reference passes one node at a time,
+    gives a float out, in the same order of operations, except that a
+    float squares by pow() and an array by a product, which can differ in
+    the last bit.
     """
     om1 = scales.Omega1
     two_om1 = 2.0 * om1

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import exp_tables
-from .errors import NonPositiveError, NoPeaksError, TooShortError
+from .errors import GridTooLargeError, NonPositiveError, NoPeaksError, TooShortError
 from .gme import TimeSeries
 
 __all__ = ["SpectrumResult", "Peak", "fourier_spectrum", "peak_extract"]
@@ -18,6 +18,9 @@ _MIN_SAMPLES = 64
 _MIN_REL_HEIGHT = 1e-6
 # a band that leaves more of the trace's Hann-weighted energy outside misses a line
 _MAX_OUT_OF_BAND = 1e-3
+# the full band peaks near 75 bytes a padded point (its grid, twiddles and chirp-z
+# plan; measured at n_pad = 2e6): 7.5 GB at this count
+_MAX_PADDED = 10**8
 # Bluestein plans kept, and twiddle tables: a sweep uses one key of each (its
 # full band's half-length plan), a pass over the figure tags two plans
 _PLANS = 8
@@ -210,6 +213,9 @@ def fourier_spectrum(
         raise TooShortError(f"need at least {_MIN_SAMPLES} samples, got {n}")
     if zero_pad_factor < 1:
         raise NonPositiveError(f"zero_pad_factor must be at least 1, got {zero_pad_factor}")
+    if n * zero_pad_factor > _MAX_PADDED:
+        raise GridTooLargeError(f"{n} samples padded {zero_pad_factor} times are {n * zero_pad_factor} points,"
+                                f" more than the {_MAX_PADDED:.0e} a transform can hold")
     if omega_max is not None and not 0.0 < omega_max < np.inf:
         raise NonPositiveError(f"omega_max must be positive and finite, got {omega_max}")
     processed = _windowed(series.values, window)

@@ -1,11 +1,13 @@
 """The tests' references for the bath correlation S(tau) + i*R(tau), independent of the package's sums.
 
 * ``quadpack_correlation`` / ``correlation_quadrature``: QUADPACK, by
-  scipy, of S = int_0^inf G(w)/w^2 * coth(beta*w/2) * (1 - cos(w*tau)) dw
-  and R = int_0^inf G(w)/w^2 * sin(w*tau) dw, cut at ``omega_max`` (1000
-  by default): the cut drops about 2*A*Om1/(3*omega_max^3) of S and of R,
-  1.2e-12 at fig3.  Criterion 04 and the accuracy tests of the residue
-  sums of ``effbath.correlation`` read it.
+  scipy, of the defining integrals
+  S = int_0^inf G(w)/w^2 * coth(beta*w/2) * (1 - cos(w*tau)) dw and
+  R = int_0^inf G(w)/w^2 * sin(w*tau) dw, piece by piece, cut at
+  ``omega_max`` (1000 by default): the cut drops about
+  2*A*Om1/(3*omega_max^3) of S and of R, 1.2e-12 at fig3.  Nothing is
+  kept between nodes, pieces or tau.  Criterion 04 and the accuracy
+  tests of the residue sums of ``effbath.correlation`` read it.
 * ``residues_mpmath``: the same residues as ``correlation.residue_sums``,
   each summed by mpmath at 30 digits, its Matsubara series by ``nsum``.
 """
@@ -13,12 +15,10 @@
 from __future__ import annotations
 
 import math
-import warnings
-import weakref
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
 from effbath.correlation import CorrelationFn
 from effbath.errors import ZeroDampingError
@@ -47,39 +47,6 @@ def _coth(x: float) -> float:
     return 1.0 + 2.0 / math.expm1(2.0 * x)
 
 
-class _OverSquare(dict):
-    """f = G(w)/w^2 by node w, computed on the first request."""
-
-    __slots__ = ("geff",)
-
-    def __init__(self, geff):
-        self.geff = geff
-
-    def __missing__(self, w):
-        value = self[w] = self.geff(w) / w**2
-        return value
-
-
-class _TimesCoth(dict):
-    """f*coth(beta*w/2) by node w, computed from the f table on the first request."""
-
-    __slots__ = ("f", "half_beta")
-
-    def __init__(self, f, half_beta):
-        self.f = f
-        self.half_beta = half_beta
-
-    def __missing__(self, w):
-        value = self[w] = self.f[w] * _coth(self.half_beta * w)
-        return value
-
-
-def _node_tables(geff, half_beta):
-    """Empty tables of f = G/w^2 and of f*coth(beta*w/2), the second filled from the first."""
-    f = _OverSquare(geff)
-    return f, _TimesCoth(f, half_beta)
-
-
 def correlation_quadrature(
     tau: float,
     geff_fn: Callable,
@@ -94,46 +61,26 @@ def correlation_quadrature(
     S = int_0^inf dw G(w)/w^2 * coth(beta*w/2) * (1 - cos(w*tau)),
     R = int_0^inf dw G(w)/w^2 * sin(w*tau).
 
-    ``geff_fn`` must be Ohmic-like (G(w)/w^2 finite*1/w as w -> 0).  The
-    oscillatory factors are handled with Clenshaw-Curtis weighted
-    quadrature; the integration range is split at the spectral peak (when
-    given) and at w = 2*pi/tau.  ``tau`` must be finite and >= 0; anything
-    else raises ValueError before any integral runs.  Raises
-    QuadratureNonConvergence with the achieved error estimate, and
-    QUADPACK's own messages, when the combined estimate exceeds ``atol``;
-    within ``atol`` QUADPACK's warnings are issued again after the
-    integrals.  A ``geff_fn`` that carries a ``node_values`` dict, as the
-    evaluator's G does, keeps there by beta its values at the nodes of the
-    pieces whose ends do not depend on tau; any other gets them for this
-    call alone.
+    ``geff_fn`` takes one float node and must be Ohmic-like (G(w)/w^2
+    finite*1/w as w -> 0).  The oscillatory factors are handled with
+    Clenshaw-Curtis weighted quadrature; the integration range is split
+    at the spectral peak (when given) and at w = 2*pi/tau.  ``tau`` must
+    be finite and >= 0; anything else raises ValueError before any
+    integral runs.  Raises QuadratureNonConvergence with the achieved
+    error estimate when the summed estimate exceeds ``atol``.  QUADPACK's
+    IntegrationWarning propagates as scipy issues it, so a suite that
+    turns warnings into errors fails on it.
     """
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
     if tau == 0.0:
         return 0.0, 0.0
 
-    # QUADPACK reads f = G/w^2 and f*coth(beta*w/2) from tables that compute a
-    # node on its first request and look it up, in C, on every later one.  A
-    # piece whose ends do not depend on tau reads the tables the evaluator's G
-    # carries, which hold G weakly; a piece from or to 2*pi/tau reads this
-    # tau's own.  A G that carries none gets tables for this call
-    half_beta = 0.5 * beta
-    own = _node_tables(geff_fn, half_beta)
-    by_beta = getattr(geff_fn, "node_values", None)
-    if by_beta is None:
-        shared = own
-    else:
-        shared = by_beta.get(beta)
-        if shared is None:
-            shared = by_beta[beta] = _node_tables(weakref.proxy(geff_fn), half_beta)
-    cos, sin = math.cos, math.sin
-
     # knots: stay below one oscillation period before splitting off cos/sin;
     # the [0, a0] pieces use plain quadrature (interior nodes only) because
     # f itself is 1/w-singular at the origin even though the integrands are
     # finite there
-    period = 2.0 * math.pi / tau
-    a0 = min(period, omega_max)
+    a0 = min(2.0 * math.pi / tau, omega_max)
     if peak is not None:
         width = 5.0 * (peak_width if peak_width is not None else 0.1 * peak)
         a0 = min(a0, max(peak - width, 0.25 * peak))
@@ -141,63 +88,38 @@ def correlation_quadrature(
     else:
         knots = []
     edges = [a0] + knots + [omega_max]
+    half_beta = 0.5 * beta
 
-    # [0, a0] ends where the first piece past it starts, at 2*pi/tau or not
-    f_0, f_coth_0 = own if a0 == period else shared
+    def f(w):
+        return geff_fn(w) / w**2
 
-    def s_integrand(w):
-        return f_coth_0[w] * (1.0 - cos(w * tau))
-
-    def r_integrand(w):
-        return f_0[w] * sin(w * tau)
+    def f_coth(w):
+        return f(w) * _coth(half_beta * w)
 
     eps = atol / (4 + 3 * len(edges))
-    # the evaluator's G carries a memo of the smooth pieces int_lo^hi f*coth;
-    # QUADPACK is deterministic, so a hit returns the bits that integrating
-    # the piece again would.  A piece that warned is not kept: integrated
-    # again for each tau, it gives the same bits and the same warnings.  A
-    # piece from 2*pi/tau serves this tau alone and is not kept either
-    memo = getattr(geff_fn, "smooth_pieces", {})
 
     def piece(fn, a, b, **weight):
         return quad(fn, a, b, epsabs=eps, epsrel=1e-10, limit=400, **weight)
 
-    # QUADPACK's warnings are caught once per tau, not per node or per piece
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IntegrationWarning)
-        s_val, total_err = piece(s_integrand, 0.0, a0)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            f_coth = (own if lo == period else shared)[1].__getitem__
-            key = (beta, lo, hi, eps)
-            if key in memo:
-                smooth, err1 = memo[key]
-            else:
-                start = len(caught)
-                smooth, err1 = piece(f_coth, lo, hi)
-                if lo != period and len(caught) == start:
-                    memo[key] = (smooth, err1)
-            osc, err2 = piece(f_coth, lo, hi, weight="cos", wvar=tau)
-            s_val += smooth - osc
-            total_err += err1 + err2
+    s_val, total_err = piece(lambda w: f_coth(w) * (1.0 - math.cos(w * tau)), 0.0, a0)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        smooth, err1 = piece(f_coth, lo, hi)
+        osc, err2 = piece(f_coth, lo, hi, weight="cos", wvar=tau)
+        s_val += smooth - osc
+        total_err += err1 + err2
 
-        r_val, err = piece(r_integrand, 0.0, a0)
+    r_val, err = piece(lambda w: f(w) * math.sin(w * tau), 0.0, a0)
+    total_err += err
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        value, err = piece(f, lo, hi, weight="sin", wvar=tau)
+        r_val += value
         total_err += err
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            f = (own if lo == period else shared)[0].__getitem__
-            value, err = piece(f, lo, hi, weight="sin", wvar=tau)
-            r_val += value
-            total_err += err
 
     if total_err > atol:
-        quadpack = dict.fromkeys(" ".join(str(w.message).split()) for w in caught
-                                 if issubclass(w.category, IntegrationWarning))
         raise QuadratureNonConvergence(
-            f"correlation quadrature at tau = {tau:g} reached abs error {total_err:.3e} > atol {atol:.3e}"
-            + "".join(f"; QUADPACK: {text}" for text in quadpack),
+            f"correlation quadrature at tau = {tau:g} reached abs error {total_err:.3e} > atol {atol:.3e}",
             achieved=total_err,
         )
-    for w in caught:
-        warnings.warn(w.message, stacklevel=2)
     return s_val, r_val
 
 
@@ -206,29 +128,14 @@ def quadpack_correlation(
 ) -> CorrelationFn:
     """QUADPACK evaluator of the correlation integrals for these params.
 
-    Each tau is integrated once; S and R come out of the same call, in the
-    shape of tau.  The smooth pieces int G/w^2*coth(beta*w/2) between the knots do not
-    depend on tau: each that QUADPACK integrates without a warning is
-    integrated once per evaluator and reused, with the same bits, by every
-    later tau with the same knots.  Nor do the nodes QUADPACK places on
-    pieces whose ends do not depend on tau: G(w)/w^2 and its product with
-    coth(beta*w/2) are computed once per node and evaluator and looked up
-    by every later piece and tau, again with the same bits.  Nodes of the
-    pieces from or to 2*pi/tau are kept for that tau alone, so the
-    evaluator's tables stop growing after a few thousand nodes.
-    gamma = 0, where G(omega) is a line, raises ZeroDampingError.
+    Each tau is integrated on its own; S and R come out of the same call,
+    in the shape of tau.  gamma = 0, where G(omega) is a line, raises
+    ZeroDampingError.
     """
     if scales.gammabar == 0.0:
         raise ZeroDampingError(f"gamma = {p.gamma}: undamped, G(omega) is a line at Omega1, which no quadrature"
                                " resolves; the closed-form evaluator takes gamma = 0")
-
-    # G's constants are bound once; G carries the memo of the smooth pieces
-    # and the tables of its values at the nodes, so it is called once per
-    # node this evaluator's tau-independent pieces ask for.  Each tau looks
-    # correlation_quadrature up in this module, so a test can count every tau
     geff_fn = geff_function(p, scales)
-    geff_fn.smooth_pieces = {}
-    geff_fn.node_values = {}
 
     def one(tau):
         return correlation_quadrature(tau, geff_fn, p.beta, atol=atol, peak=scales.Omega1,

@@ -1,6 +1,7 @@
 import ast
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import ModuleType
@@ -155,9 +156,9 @@ def test_custom_pipeline(tmp_path):
         assert (out / name).exists()
 
 
-def _fig3_config(tmp_path, delta):
+def _fig3_config(tmp_path, **changes):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("".join(f"{key}={value}\n" for key, value in dict(FIGURE_PARAMS["fig3"], Delta=delta).items()))
+    cfg.write_text("".join(f"{key}={value!r}\n" for key, value in dict(FIGURE_PARAMS["fig3"], **changes).items()))
     return cfg
 
 
@@ -165,7 +166,7 @@ def test_custom_at_zero_tunneling_writes_its_bundle(tmp_path):
     # at Delta = 0 both traces hold P = 1, so the NIBA spectrum has no line:
     # the summary keeps its bin width and the shortage, and names no peak
     out = tmp_path / "out"
-    assert main(["custom", "--config", str(_fig3_config(tmp_path, 0.0)), "--out", str(out)]) == 0
+    assert main(["custom", "--config", str(_fig3_config(tmp_path, Delta=0.0)), "--out", str(out)]) == 0
     for name in ("spectral.csv", "P_niba.csv", "P_wda.csv", "spectrum_niba.csv", "spectrum_wda.csv"):
         assert (out / name).exists()
     summary = dict(line.split("=") for line in (out / "summary.txt").read_text().splitlines())
@@ -177,7 +178,7 @@ def test_custom_at_zero_tunneling_writes_its_bundle(tmp_path):
 def test_a_vanishing_delta_writes_finite_files(tmp_path, command):
     # Omega_plus is about Delta = 1e-9, far below the rounding of Omega1**2
     out = tmp_path / "out"
-    assert main([command, "--config", str(_fig3_config(tmp_path, 1e-9)), "--out", str(out)]) == 0
+    assert main([command, "--config", str(_fig3_config(tmp_path, Delta=1e-9)), "--out", str(out)]) == 0
     assert (out / "P_wda.csv").exists()
     for path in out.glob("*.csv"):
         assert np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1)).all(), path.name
@@ -187,7 +188,7 @@ def test_a_vanishing_delta_writes_finite_files(tmp_path, command):
 def test_a_delta_past_the_double_range_is_one_error_line(tmp_path, capsys, delta):
     # Delta**2 or the pole equation's squares overflow: a typed error, not an OverflowError
     out = tmp_path / "out"
-    assert main(["wda", "--config", str(_fig3_config(tmp_path, delta)), "--out", str(out)]) == 1
+    assert main(["wda", "--config", str(_fig3_config(tmp_path, Delta=delta)), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("effbath: error: pole equation") and err.count("\n") == 1
     assert not out.exists()
@@ -205,7 +206,7 @@ def test_a_wda_trace_past_the_double_range_is_one_error_line(tmp_path, monkeypat
     # turns to nan (per sample to +-inf), and no file of it is written
     monkeypatch.setattr(module, "build_wda_spectrum", _growing_spectrum)
     out = tmp_path / "out"
-    assert main([command, "--config", str(_fig3_config(tmp_path, 1.0)), "--out", str(out)]) == 1
+    assert main([command, "--config", str(_fig3_config(tmp_path, Delta=1.0)), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("effbath: error: WDA trace is not finite from t = 7") and err.count("\n") == 1
     assert not out.exists()
@@ -218,11 +219,75 @@ def test_a_grid_too_large_to_hold_is_one_error_line(tmp_path, capsys, command, d
     # step underflows to 0); it is refused before any array is made.  wda builds its
     # poles first, and past Delta = 1e78 their squares overflow
     out = tmp_path / "out"
-    assert main([command, "--config", str(_fig3_config(tmp_path, delta)), "--out", str(out)]) == 1
+    assert main([command, "--config", str(_fig3_config(tmp_path, Delta=delta)), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("effbath: error: ") and err.count("\n") == 1
     expected = "pole equation" if command == "wda" and delta >= 1e78 else "steps, more than the 1e+08 a run can hold"
     assert expected in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectral", "--points", "1000000000000"], "points is 1000000000000, more than the 1e+07 a table can hold"),
+    (["correlation", "--points", "1000000000000"], "points is 1000000000000, more than the 1e+07 a table can hold"),
+    (["spectrum", "--pad", "1000000000"], "200 samples padded 1000000000 times are 200000000000 points"),
+    (["spectrum", "--pad", "100000000000000000"], "more than the 1e+08 a transform can hold"),
+], ids=["spectral_points", "correlation_points", "spectrum_pad_1e9", "spectrum_pad_1e17"])
+def test_a_table_or_transform_too_large_to_hold_is_one_error_line(tmp_path, capsys, argv, message):
+    # 1e12 rows would take 7.3 TiB a column, and a 200-sample trace padded 1e9 times
+    # 745 GiB of bins: each is refused before any array is made
+    if argv[0] == "spectrum":
+        trace = tmp_path / "trace.csv"
+        t = np.arange(200.0)
+        write_csv(trace, ["t", "P"], [t, np.cos(0.3 * t)])
+        argv = [argv[0], str(trace), *argv[1:]]
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and peak < 1 << 20
+    err = capsys.readouterr().err
+    assert err.startswith("effbath: error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("changes, command, scales", [
+    ({"M": 1e-320}, "spectral", "y0 = inf"),
+    ({"g": 1e160}, "niba", "varsigma = inf"),
+    ({"Omega": 1e160}, "correlation", "varsigma = inf"),
+    ({"beta": 1e-320}, "wda", "nth = inf, gammabar = inf"),
+    ({"beta": 1e-320}, "niba", "nth = inf, gammabar = inf"),
+    ({"M": 1e-200, "Omega": 1e-200, "alpha": 0.0}, "custom", "y0 = inf, varsigma = inf"),
+], ids=["M_spectral", "g_niba", "Omega_correlation", "beta_wda", "beta_niba", "M_Omega_custom"])
+def test_a_derived_scale_past_the_double_range_is_one_error_line(tmp_path, capsys, changes, command, scales):
+    # y0 = sqrt(1/(M*Omega)) overflows, or M*Omega rounds to 0; g**2 or Omega**3 overflows
+    # in varsigma; 1/(e^(beta*Omega1) - 1) overflows in nth.  Each names its scales and the inputs
+    out = tmp_path / "out"
+    assert main([command, "--config", str(_fig3_config(tmp_path, **changes)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"effbath: error: the derived scales leave the double range ({scales}) at M = ")
+    assert err.count("\n") == 1 and all(f"{key} = {value!r}" in err for key, value in changes.items())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("changes, command", [
+    ({"gamma": 1e200}, "spectral"),
+    ({"gamma": 1e200}, "niba"),
+    ({"q0": 1e-160}, "spectral"),
+], ids=["gamma_spectral", "gamma_niba", "q0_spectral"])
+def test_a_float_overflow_is_one_error_line(tmp_path, capsys, changes, command):
+    # the scales are finite, but gamma**2 (or gbar**2 = (2*sqrt(2)*g/(q0*y0))**2) overflows
+    # in a float power further on
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # gamma = 1e200 sits on the matsubara-validity flag
+        code = main([command, "--config", str(_fig3_config(tmp_path, **changes)), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("effbath: error: a value left the double range: ") and err.count("\n") == 1
     assert not out.exists()
 
 
