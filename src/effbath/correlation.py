@@ -238,6 +238,11 @@ def residue_sums(p: SystemParams, scales: DerivedScales) -> Callable:
     takes about 40/(nu_1*tau) explicit terms, at most 2^16.  Past that cap
     the rest of the terms is bounded, not summed.
 
+    The three e^z*E1(z) at f's poles, z = -i*Om1*tau, i*p*tau and
+    -i*p*tau, are one ``exp_e1`` call on the stack of the three, each
+    keeping its own stopping rules: a call takes each tau > 0 once, and
+    one numpy loop per form of E1 serves all three (up to 2^14 values).
+
     ``bound`` is the larger of S's and R's error bounds at each tau:
     32 ulps of the summed magnitudes of the terms, with the phases of
     i*p*tau and -i*Om1*tau counted as rounded, plus the truncations.  The
@@ -380,7 +385,7 @@ def residue_sums(p: SystemParams, scales: DerivedScales) -> Callable:
         tau = t[live]
         z_m = -1j * om1 * tau
         z_p = 1j * pole * tau
-        e_m, e_plus, e_minus = exp_e1(z_m), exp_e1(z_p), exp_e1(-z_p)
+        e_m, e_plus, e_minus = exp_e1(np.stack([z_m, z_p, -z_p]))
         wave = 2j * math.pi * np.exp(z_p)
         # J(-Om1, +-tau) = e_m and its conjugate; J(p, tau) = e_plus + wave, J(p, -tau) =
         # e_minus; J(conj p, -+tau) are the conjugates of J(p, +-tau)

@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .correlation import closed_form_correlation, quadrature_correlation, wda_coefficients, wda_split
-from .errors import GridTooLargeError, NonFiniteStateError, NonPositiveError, NoPeaksError, ZeroDampingError
+from .errors import (GridTooLargeError, NonFiniteStateError, NonPositiveError, NoPeaksError, ScaleRangeError,
+                     ZeroDampingError)
 from .gme import TimeSeries, simulate_population
 from .params import SystemParams, convert_couplings, derived_scales, regime_flags
 from .spectral import (
@@ -323,9 +324,17 @@ SPECTRAL_HEADER = ["omega", "J_ohmic", "J_linear_eff", "J_nonlinear_eff", "chi_i
 
 
 def spectral_table(p: SystemParams, omega_max: float = 3.0, points: int = 1500) -> tuple[list, list]:
-    """Header and columns of the spectral densities on ``points`` frequencies up to omega_max*Omega."""
+    """Header and columns of the spectral densities on ``points`` frequencies up to omega_max*Omega.
+
+    The densities square omega**2, so a grid end whose fourth power leaves
+    the double range raises ScaleRangeError before any array is built.
+    """
     _check_grid("omega_max", omega_max, points)
     _check_damped(p)
+    end = omega_max * p.Omega
+    if end * end * (end * end) == math.inf:
+        raise ScaleRangeError(f"omega_max = {omega_max!r}: the grid ends at omega = {end:g}, whose fourth power"
+                              " leaves the double range")
     omega = np.linspace(omega_max / points, omega_max, points) * p.Omega
     return SPECTRAL_HEADER, _spectral_columns(p, omega)
 

@@ -10,6 +10,10 @@
   tests of the residue sums of ``effbath.correlation`` read it.
 * ``residues_mpmath``: the same residues as ``correlation.residue_sums``,
   each summed by mpmath at 30 digits, its Matsubara series by ``nsum``.
+* ``banded_exp_e1``, ``banded_exp_e1_real`` and ``banded_exp_ei``: the
+  exponential integrals of ``effbath.expint`` with one numpy loop per band
+  of |z| and per call, as they were first written; the package's one-loop
+  forms must return their bits.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from scipy.integrate import quad
 
 from effbath.correlation import CorrelationFn
 from effbath.errors import ZeroDampingError
+from effbath.expint import (_ASYMPTOTIC, _CF_DEPTHS, _CF_DEPTHS_REAL, _CF_UPPERS, _CF_UPPERS_REAL, _EI_BANDS, _EPS4,
+                            EULER_GAMMA)
 from effbath.params import DerivedScales, SystemParams
 from effbath.spectral import geff_function
 
@@ -211,3 +217,120 @@ def residues_mpmath(p: SystemParams, scales: DerivedScales, taus) -> list:
             s_val += mp.nsum(matsubara, [1, mp.inf])
             out.append((mp.re(s_val), mp.re(r_val)))
         return out
+
+
+def _continued_fraction(z, depth: int):
+    """e^z*E1(z) by the even continued fraction, evaluated backwards from ``depth``."""
+    tail = np.zeros_like(z)
+    for k in range(depth, 0, -1):
+        tail = k * k / (z + (2 * k + 1) - tail)
+    return 1.0 / (z + 1.0 - tail)
+
+
+def _power_sum(z):
+    """sum_{k>=1} z^k/(k*k!), until a term drops below eps/4 of the sum."""
+    term = z.copy()
+    total = z.copy()
+    k = 1
+    while True:
+        k += 1
+        term = term * z / k
+        add = term / k
+        total = total + add
+        if np.all(np.abs(add) <= _EPS4 * np.abs(total)):
+            return total
+
+
+def _ei_series(x, _depth):
+    """e^-x*Ei(x) from Ei's series, for x > 0; a band's depth does not apply."""
+    return np.exp(-x) * (EULER_GAMMA + np.log(x) + _power_sum(x))
+
+
+def _asymptotic(z, sign: float):
+    """sum_k sign^k k!/z^{k+1} until a term drops below eps/2 of the sum."""
+    inverse = 1.0 / z
+    term = inverse
+    total = inverse.copy()
+    k = 0
+    while True:
+        k += 1
+        term = term * (sign * k) * inverse
+        total = total + term
+        if np.all(np.abs(term) <= 2.0 * _EPS4 * np.abs(total)):
+            return total
+
+
+def _by_bands(values, bands, method):
+    """method(subset, depth) at the elements of ``values`` whose magnitude falls in each (upper, depth) band."""
+    out = np.empty_like(values)
+    size = np.abs(values)
+    lower = 0.0
+    for upper, depth in bands:
+        chosen = (size > lower) & (size <= upper)
+        if chosen.any():
+            out[chosen] = method(values[chosen], depth)
+        lower = upper
+    return out
+
+
+def _stacked(function):
+    """``function`` on each z[i] of a stack, as the package's forms take one."""
+
+    def stacked(z):
+        z = np.asarray(z)
+        if z.ndim > 1 and z.size:
+            return np.stack([function(row) for row in z])
+        return function(z)
+
+    return stacked
+
+
+@_stacked
+def banded_exp_e1(z):
+    """e^z*E1(z), one loop per band of the continued fraction and per call of each series."""
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    out = np.empty_like(flat)
+    size = np.abs(flat)
+    far = size >= _ASYMPTOTIC
+    series = ~far & (size + flat.real <= 2.0)
+    if series.any():
+        w = flat[series]
+        out[series] = np.exp(w) * (-EULER_GAMMA - np.log(w) - _power_sum(-w))
+    if far.any():
+        out[far] = _asymptotic(flat[far], -1.0)
+    rest = ~series & ~far
+    if rest.any():
+        out[rest] = _by_bands(flat[rest], tuple(zip(_CF_UPPERS, _CF_DEPTHS)), _continued_fraction)
+    return out.reshape(z.shape)
+
+
+@_stacked
+def banded_exp_e1_real(x):
+    """e^x*E1(x) for x > 0, one loop per band of the continued fraction and per call of the series."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    series = flat <= 1.0
+    if series.any():
+        w = flat[series]
+        out[series] = np.exp(w) * (-EULER_GAMMA - np.log(w) - _power_sum(-w))
+    rest = ~series
+    if rest.any():
+        out[rest] = _by_bands(flat[rest], tuple(zip(_CF_UPPERS_REAL, _CF_DEPTHS_REAL)), _continued_fraction)
+    return out.reshape(x.shape)
+
+
+@_stacked
+def banded_exp_ei(x):
+    """e^-x*Ei(x) for x > 0, one loop per band of Ei's series and per call of the asymptotic series."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    series = flat < _ASYMPTOTIC
+    if series.any():
+        out[series] = _by_bands(flat[series], tuple((upper, None) for upper in _EI_BANDS), _ei_series)
+    far = ~series
+    if far.any():
+        out[far] = _asymptotic(flat[far], 1.0)
+    return out.reshape(x.shape)

@@ -362,6 +362,9 @@ def test_an_empty_config_names_the_missing_key(tmp_path, capsys):
     ["spectral", "--omega-max", "nan"],
     ["spectral", "--omega-max", "inf"],
     ["spectral", "--omega-max", "0"],
+    # the grid end's fourth power overflows the densities' (omega**2)**2
+    ["spectral", "--omega-max", "1e150"],
+    ["spectral", "--omega-max", "1e80"],
     ["correlation", "--tau-max", "nan"],
     ["correlation", "--tau-max", "inf"],
     ["correlation", "--tau-max", "0"],

@@ -274,26 +274,27 @@ def test_every_evaluator_returns_the_shape_of_tau(fig3_params, fig3_scales):
 
 def test_quadrature_integrates_each_tau_once(fig3_params, fig3_scales, monkeypatch, tmp_path):
     # each tau > 0 takes its three exponential integrals at f's poles once, in one call
+    # holding a stack of the three arguments, a row of n taus each
     calls = []
     original = correlation.exp_e1
 
     def counted(z):
-        calls.append(np.size(z))
+        calls.append(np.shape(z))
         return original(z)
 
     monkeypatch.setattr(correlation, "exp_e1", counted)
     niba_kernels(quadrature_correlation(fig3_params, fig3_scales), fig3_params.Delta, 0.0, 0.1, 4)
-    assert calls == [4, 4, 4]
+    assert calls == [(3, 4)]
     calls.clear()
     write_correlation_csv(tmp_path / "correlation.csv", fig3_params, points=7)
-    assert calls == [6, 6, 6]
+    assert calls == [(3, 6)]
     calls.clear()
     write_correlation_csv(tmp_path / "correlation.csv", fig3_params)
-    assert calls == [120, 120, 120]
+    assert calls == [(3, 120)]
     # the march on the oracle benchmark's grid, 31 tau, evaluates each of them
     calls.clear()
     simulate_population(fig3_params, step=0.1, horizon=3.0, correlation="quadrature")
-    assert calls == [30, 30, 30]
+    assert calls == [(3, 30)]
 
 
 def _cut_tail(p, s, omega_max=1000.0):

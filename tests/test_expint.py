@@ -9,6 +9,10 @@ zero of Ei.  The backward continued fraction damps each step's rounding
 and stops within eps/2 of its limit: 16 ulp.  The asymptotic series
 stops within eps/2 and its terms carry a few roundings each: 16 ulp,
 times csc|arg z| past the imaginary axis, as its remainder bound.
+
+The one-loop forms must also return, bit for bit, what the banded loops
+they replaced return (``oracles.banded_*``), and so must the residue sums
+built on them.
 """
 
 import math
@@ -16,9 +20,11 @@ import math
 import numpy as np
 import pytest
 
+from effbath import correlation
 from effbath.expint import EULER_GAMMA, exp_e1, exp_e1_real, exp_ei
 from effbath.params import build_params, derived_scales
 from effbath.scenarios import FIGURE_PARAMS
+from oracles import banded_exp_e1, banded_exp_e1_real, banded_exp_ei
 
 mp = pytest.importorskip("mpmath")
 EPS = np.finfo(float).eps
@@ -143,3 +149,68 @@ def test_real_exponential_integrals_on_the_matsubara_rays(tag):
     nu = 2.0 * math.pi / p.beta * np.arange(1, 61)
     x = np.outer(nu, tau).ravel()
     _check_real(x[x < 400.0])
+
+
+def test_a_nan_comes_back_as_nan():
+    # a nan lies in no band of |z| and meets no stopping rule: the continued fraction takes
+    # it, or the asymptotic series stops its run at once, and it comes back nan
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(exp_e1(np.array([complex(np.nan, 0.0), complex(0.5, np.nan), complex(50.0, np.nan)]))).all()
+        assert np.isnan(exp_e1_real(np.array([np.nan]))).all()
+        values = exp_ei(np.array([np.nan, 50.0, 3.0]))
+    assert np.isnan(values[0]) and np.isfinite(values[1:]).all()
+
+def _switches(rng):
+    """Complex and real points on, just inside and just outside each switch of the three functions."""
+    sides = np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9])
+    # the continued fraction's bands of |z| and the asymptotic series' start, at seeded angles
+    rings = np.array([2.0, 4.0, 8.0, 16.0, 24.0, 40.0])
+    angle = rng.uniform(-math.pi, math.pi, (rings.size, sides.size, 4))
+    points = (rings[:, None, None] * sides[None, :, None] * np.exp(1j * angle)).ravel()
+    # the series' edge |z| + Re z = 2: z = r*e^{i*t} with r = 2/(1 + cos t)
+    angle = rng.uniform(0.3, 2.8, 8) * rng.choice([-1.0, 1.0], 8)
+    edge = np.outer(2.0 / (1.0 + np.cos(angle)) * np.exp(1j * angle), sides).ravel()
+    # e^x*E1(x): the series to 1, the fraction's bands at 2, 4, 8 and 16; e^-x*Ei(x):
+    # the series' bands at 2, 6, 12, 20 and 30, the asymptotic series from 40
+    edges = np.array([1.0, 2.0, 4.0, 6.0, 8.0, 12.0, 16.0, 20.0, 30.0, 40.0])
+    return np.concatenate([points, edge]), np.outer(edges, sides).ravel()
+
+
+def _same_bits(value, reference, what):
+    assert value.shape == reference.shape and value.tobytes() == reference.tobytes(), what
+
+
+def test_the_one_loop_forms_return_the_banded_loops_bits(monkeypatch):
+    rng = np.random.default_rng(36)
+    switch_z, switch_x = _switches(rng)
+    calls = [[z] for z in switch_z] + [[x] for x in switch_x]  # size 1: each switch alone
+    for size in (31, 93, 20_000):
+        for _ in range(3 if size < 20_000 else 1):
+            # seeded values over every band, mixed with the switches, in a seeded order
+            radius = np.exp(rng.uniform(math.log(1e-3), math.log(300.0), size))
+            z = np.concatenate([switch_z, radius * np.exp(1j * rng.uniform(-math.pi, math.pi, size))])
+            x = np.concatenate([switch_x, np.exp(rng.uniform(math.log(1e-4), math.log(400.0), size))])
+            calls += [rng.permutation(z)[:size], rng.permutation(x)[:size]]
+    for values in calls:
+        values = np.asarray(values)
+        # and a stack of three calls, as residue_sums makes: each keeps its own stopping
+        # rules; were they shared, the rows a few percent apart would move bits (tens here)
+        stack = np.stack([values, 1.05 * values[::-1], 1j * values if np.iscomplexobj(values) else values])
+        for arg in (values, stack):
+            if np.iscomplexobj(values):
+                _same_bits(exp_e1(arg), banded_exp_e1(arg), values)
+            else:
+                _same_bits(exp_e1_real(arg), banded_exp_e1_real(arg), values)
+                _same_bits(exp_ei(arg), banded_exp_ei(arg), values)
+    # the residue sums on the correlation CSV's 121 lags, built on either implementation
+    for settings in (FIGURE_PARAMS["fig3"], FIGURE_PARAMS["fig5"], dict(FIGURE_PARAMS["fig3"], beta=1.0)):
+        p = build_params(settings)
+        tau = np.linspace(0.0, 30.0 / p.Omega, 121)
+        one_loop = correlation.residue_sums(p, derived_scales(p))(tau)
+        with monkeypatch.context() as patch:
+            for name, banded in (("exp_e1", banded_exp_e1), ("exp_e1_real", banded_exp_e1_real),
+                                 ("exp_ei", banded_exp_ei)):
+                patch.setattr(correlation, name, banded)
+            banded_sums = correlation.residue_sums(p, derived_scales(p))(tau)
+        for value, reference, name in zip(one_loop, banded_sums, ("S", "R", "bound")):
+            _same_bits(value, reference, name)
