@@ -140,8 +140,8 @@ def _wda(args, params) -> dict:
 
 
 def _read_trace(path: Path):
-    """The ``t`` and ``P`` columns of a CSV trace, found by name in its header line."""
-    with open(path, encoding="utf-8") as fh:
+    """The ``t`` and ``P`` columns of a CSV trace, found by name in its header line, past any UTF-8 BOM."""
+    with open(path, encoding="utf-8-sig") as fh:
         names = [name.strip() for name in fh.readline().split(",")]
         body = fh.read()
     missing = [name for name in ("t", "P") if name not in names]

@@ -103,9 +103,14 @@ def _is_grid(time: np.ndarray) -> bool:
 
     The one test of the grid that ``exp_tables`` serves; a scalar, a
     ``linspace`` whose samples differ from k*h, or a slice that does not
-    start at 0 is not on it.
+    start at 0 is not on it.  The reference float(k)*h is built in place, and a
+    last sample off it returns before the whole compare.
     """
-    return time.ndim == 1 and time.size > 1 and np.array_equal(time, time[1] * np.arange(time.size))
+    if time.ndim != 1 or time.size < 2:
+        return False
+    grid = np.arange(time.size, dtype=float)
+    grid *= time[1]
+    return bool(grid[-1] == time[-1]) and np.array_equal(time, grid)
 
 
 def _sech(x: float) -> float:

@@ -99,15 +99,19 @@ def _fmt(value) -> str:
 
 # write_csv prints each value as "%.17g" does.  %g prints 1e-4 <= |x| < 1e15 in
 # fixed notation, and _g17_text forms those values in numpy: the 17 correctly
-# rounded digits D = round(|x|*10**(16 - E)) by an exact integer multiply and
-# shift, as CPython's dtoa gets them (Adams, "Ryu revisited: printf floating
-# point conversion", 2019).  Every other value, 0, -0.0, |x| < 1e-4,
-# |x| >= 1e15, inf and nan, is formatted by "%.17g" itself and spliced in place.
+# rounded digits D = round(|x|*10**k), k = 16 - E, as CPython's dtoa gets them
+# (Adams, "Ryu revisited: printf floating point conversion", 2019).  The float
+# product D0 = |x|*10.0**k (10**k is exact for k <= 22) is below 10**17 < 2**57,
+# so its one rounding errs by at most 8 units.  With |x|*10**k = m*5**k / 2**s,
+# the remainder R = m*5**k - D0*2**s, computed in uint64 arithmetic that wraps,
+# is exact in int64, as 1 <= s <= 46 puts |R| <= 8*2**46 < 2**63.  So D = D0 + c,
+# c = (R + 2**(s - 1)) >> s, less 1 at an exact tie, R + 2**(s - 1) == c*2**s,
+# where D0 + c is odd: ties round half to even, as dtoa rounds them.  Every
+# other value, 0, -0.0, |x| < 1e-4, |x| >= 1e15, inf and nan, is formatted by
+# "%.17g" itself and spliced in place.
 _FIXED_MIN, _FIXED_END = 1e-4, 1e15
 # a double in [1e-4, 1e15) is m*2**(e2 - 52) with 2**52 <= m < 2**53 and _E2_MIN <= e2 <= 49
 _E2_MIN = -14
-# the words of _g17_tables past the 4-digit ones
-_MINUS, _POINT, _COMMA, _NEWLINE = 10_000, 10_001, 10_002, 10_003
 # the keep row of a spliced text of length n is _SPLICED + n: the rows of the
 # 19 decades, 17 last digits and two signs come first
 _SPLICED = 19 * 17 * 2 - 1
@@ -132,13 +136,13 @@ def _g17_tables() -> tuple:
     a double in it is ``decade[e2 - _E2_MIN]``, that of 2**e2,
     floor(e2*log10(2)) (exact in floats: e2*log10(2) is 0 or over 0.01 from
     an integer), or the next one from ``next_decade[e2 - _E2_MIN]`` on.
-    ``pow5`` holds 5**k for k = 16 - E <= 20, so m*5**k < 2**100.
-    ``words`` holds, as uint32, the 4 digits of 0..9999, then "-000",
-    "000." and the two separators; ``trailing_zeros`` the trailing zeros
-    of each 4-digit word, 4 for 0000.
+    ``pow10`` holds the doubles 10**k and ``pow5`` the uint64 5**k, for
+    k = 16 - E <= 20.  ``words`` holds, as uint32, the 4 digits of
+    0..9999; ``trailing_zeros`` the trailing zeros of each, 4 for 0000.
 
     Let Z be "0000" and then the 17 digits of D.  Each value gets a 52-byte
-    row of 13 words:
+    row of 13 words, a copy of a ``template`` row that ends in "," or, for
+    a row's last value, in a newline, with the digit words written in:
 
         bytes  0..3   "-000"      the sign, and Z[0] at byte 3
         bytes  4..23  Z[1..20]    so Z[c] is at byte 3 + c
@@ -156,12 +160,13 @@ def _g17_tables() -> tuple:
     """
     decade = np.array([math.floor(e2 * math.log10(2.0)) for e2 in range(_E2_MIN, 50)])
     next_decade = np.array([_least_double_from(exp10 + 1) for exp10 in decade.tolist()])
+    pow10 = np.array([float(10**k) for k in range(21)])
     pow5 = np.array([5**k for k in range(21)], dtype=np.uint64)
     four = np.arange(10_000, dtype=np.uint16)
-    words = np.concatenate([
-        np.stack([four // 10**j % 10 for j in (3, 2, 1, 0)], axis=1).astype(np.uint8) + np.uint8(ord("0")),
-        np.frombuffer(b"-000000.,   \n   ", dtype=np.uint8).reshape(4, 4),
-    ]).view(np.uint32).ravel()
+    digits = np.stack([four // 10**j % 10 for j in (3, 2, 1, 0)], axis=1).astype(np.uint8) + np.uint8(ord("0"))
+    words = digits.view(np.uint32).ravel()
+    template = np.frombuffer(b"".join(b"-000" + bytes(20) + b"000." + bytes(20) + end for end in (b",   ", b"\n   ")),
+                             dtype=np.uint32).reshape(2, 13)
     trailing_zeros = sum((four % 10**j == 0).astype(np.intp) for j in range(1, 5))
     row = np.arange(52)
     E = np.arange(-4, 15)[:, None, None, None]
@@ -172,7 +177,7 @@ def _g17_tables() -> tuple:
     fixed = integer | fraction | (row == 48) | ((row == 0) & (negative == 1))
     spliced = (row < np.arange(1, 25)[:, None]) | (row == 48)
     keep = np.concatenate([fixed.reshape(-1, row.size), spliced])
-    tables = (decade, next_decade, pow5, words, trailing_zeros, keep)
+    tables = (decade, next_decade, pow10, pow5, words, template, trailing_zeros, keep)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -180,7 +185,7 @@ def _g17_tables() -> tuple:
 
 def _g17_text(block: np.ndarray) -> np.ndarray:
     """The CSV text of a 2-D float block, as uint8: each value as "%.17g", then "," or a newline."""
-    decade, next_decade, pow5, words, trailing_zeros, keep = _g17_tables()
+    decade, next_decade, pow10, pow5, words, template, trailing_zeros, keep = _g17_tables()
     n = block.size
     x = block.ravel()
     ax = np.abs(x)
@@ -188,50 +193,39 @@ def _g17_text(block: np.ndarray) -> np.ndarray:
     a = np.where(fixed, ax, 1.0)  # the rest is computed on a stand-in and overwritten below
     bits = a.view(np.uint64)
     m = (bits & np.uint64(2**52 - 1)) | np.uint64(2**52)
-    biased = (bits >> np.uint64(52)).astype(np.intp)
+    biased = (bits >> np.uint64(52)).astype(np.int64)
     at = biased - (1023 + _E2_MIN)
     E = decade.take(at) + (a >= next_decade.take(at))
     k = 16 - E
-    # |x|*10**k = m*5**k / 2**s, with 1 <= s <= 46
-    s = (1075 - biased - k).astype(np.uint64)
-    # m*5**k in two words (high, low), from 32-bit halves so no partial product wraps
-    p5 = pow5.take(k)
-    ph, pl = p5 >> np.uint64(32), p5 & np.uint64(0xFFFFFFFF)
-    mh, ml = m >> np.uint64(32), m & np.uint64(0xFFFFFFFF)
-    lo = ml * pl
-    mid = ml * ph + mh * pl
-    low = lo + (mid << np.uint64(32))
-    high = mh * ph + (mid >> np.uint64(32)) + (low < lo)
-    # D = (m*5**k) / 2**s rounded half to even, as dtoa rounds
-    q = (high << (np.uint64(64) - s)) | (low >> s)
-    r = low & ((np.uint64(1) << s) - np.uint64(1))
-    half = np.uint64(1) << (s - np.uint64(1))
-    # 10**16 <= D < 10**17: the double below each power of ten 1e-3..1e15 lies at least
-    # 8.7 units of its 17th digit below it, so no D rounds up into the next decade
-    D = q + ((r > half) | ((r == half) & (q & np.uint64(1)).astype(bool)))
-    # the 17 digits: the leading one, then two halves of eight, four to a word
+    s = 1075 - biased - k
+    # D0 = |x|*10.0**k, then D = D0 + c from R + 2**(s - 1), exact through the wrap (see above _FIXED_MIN)
+    D = (a * pow10.take(k)).astype(np.uint64)
+    half = np.int64(1) << (s - 1)
+    R = (m * pow5.take(k) - (D << s.view(np.uint64))).view(np.int64) + half
+    D += (R >> s).view(np.uint64)
+    # less 1 at a tie where D0 + c is odd.  10**16 <= D < 10**17: the double below each power of ten
+    # 1e-3..1e15 lies at least 8.7 units of its 17th digit below it, so no D rounds up into the next decade
+    D -= ((R & (half + half - 1)) == 0) & (D & np.uint64(1)).astype(bool)
+    # the 17 digits as five words: the leading one, then two halves of eight, four to a word
     top = D // np.uint64(10**8)
     bottom = (D - top * np.uint64(10**8)).astype(np.uint32)
     top = top.astype(np.uint32)
-    lead = top // np.uint32(10**8)
-    top -= lead * np.uint32(10**8)
-    w = np.empty((n, 13), np.intp)
-    w[:, 0] = _MINUS
-    w[:, 1] = lead
-    for col, eight in ((2, top), (4, bottom)):
-        head = eight // np.uint32(10**4)
-        w[:, col] = head
-        w[:, col + 1] = eight - head * np.uint32(10**4)
-    w[:, 6] = _POINT
-    w[:, 7:12] = w[:, 1:6]
-    sep = w.reshape(*block.shape, 13)[:, :, 12]
-    sep[:, :-1] = _COMMA
-    sep[:, -1] = _NEWLINE
-    text = words.take(w).view(np.uint8)
+    d = np.empty((5, n), np.uint32)
+    d[0] = top // np.uint32(10**8)
+    top -= d[0] * np.uint32(10**8)
+    for j, eight in ((1, top), (3, bottom)):
+        d[j] = eight // np.uint32(10**4)
+        d[j + 1] = eight - d[j] * np.uint32(10**4)
+    rows = np.empty((*block.shape, 13), np.uint32)
+    rows[:, :-1] = template[0]
+    rows[:, -1] = template[1]
+    rows = rows.reshape(n, 13)
+    rows[:, 1:6] = rows[:, 7:12] = words.take(d).T
+    text = rows.view(np.uint8)
     # trailing zeros of D: word j's count is added while every word after it is 0000
-    zeros = trailing_zeros.take(w[:, 5])
-    for j in (4, 3, 2):
-        zeros += (zeros == 4 * (5 - j)) * trailing_zeros.take(w[:, j])
+    zeros = trailing_zeros.take(d[4])
+    for j in (3, 2, 1):
+        zeros += (zeros == 4 * (4 - j)) * trailing_zeros.take(d[j])
     key = ((E + 4) * 17 + 16 - zeros) * 2 + (x < 0)
     spliced = np.flatnonzero(~fixed)
     if spliced.size:
@@ -241,7 +235,7 @@ def _g17_text(block: np.ndarray) -> np.ndarray:
     return text[keep.take(key, axis=0)]
 
 
-# values formatted at once; a block's byte tables take about 300 bytes a value,
+# values formatted at once; a block's byte tables peak near 250 bytes a value,
 # and blocks of 8,192 values ran slower per value than 2,048 or 4,096 (2-vCPU Xeon)
 _CSV_BLOCK_VALUES = 4096
 
@@ -250,8 +244,9 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """Write ``columns`` under ``header`` as CSV, each value as ``"%.17g" % value``.
 
     The rows are formatted in blocks of about ``_CSV_BLOCK_VALUES`` values
-    by ``_g17_text``, whatever the table's size: it computes each in-range
-    value's 17 digits in numpy and splices in ``"%.17g"`` for the rest.
+    by ``_g17_text``, whatever the table's size: it gets each in-range
+    value's 17 digits from one float product and an exact remainder, writes
+    them into a text row per value, and splices in ``"%.17g"`` for the rest.
     """
     rows = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     step = max(1, _CSV_BLOCK_VALUES // rows.shape[1])

@@ -713,10 +713,12 @@ def test_spectrum_finds_its_columns_by_name(tmp_path):
     t = np.linspace(0.0, 50.0, 501)
     write_csv(tmp_path / "plain.csv", ["t", "P"], [t, np.cos(t)])
     write_csv(tmp_path / "shuffled.csv", ["P", "x", "t"], [np.cos(t), np.sin(t), t])
-    for name in ("plain", "shuffled"):
+    # Excel's "CSV UTF-8" starts the file with a byte order mark
+    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.csv").read_bytes())
+    for name in ("plain", "shuffled", "bom"):
         assert main(["spectrum", str(tmp_path / f"{name}.csv"), "--out", str(tmp_path / name)]) == 0
-    plain, shuffled = (tmp_path / name / "spectrum.csv" for name in ("plain", "shuffled"))
-    assert plain.read_bytes() == shuffled.read_bytes()
+    plain, shuffled, bom = (tmp_path / name / "spectrum.csv" for name in ("plain", "shuffled", "bom"))
+    assert plain.read_bytes() == shuffled.read_bytes() == bom.read_bytes()
 
 
 @pytest.mark.parametrize("order", ["scattered", "reversed"])
@@ -778,15 +780,22 @@ def _csv_values(rng, size):
     each power of ten 1e-5..1e16, each with both neighbours and both signs,
     and the values "%.17g" formats alone (0, -0.0, inf, nan, ...); then
     values in that range, exact ties at the 17th digit (M + j/8 with M
-    around 1e14), integer-valued floats and values spread over 1e-300..1e300.
+    around 1e14, and j*2**(E - 17) with j odd in each decade E = -4..14,
+    whose 17 digits j*5**(16 - E)/2 end in a half), integer-valued floats
+    and values spread over 1e-300..1e300.
     """
     centres = [1e-4, 1e15, *(10.0**k for k in range(-5, 17))]
     edges = np.array([np.nextafter(c, to) for c in centres for to in (0.0, c, np.inf)])
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e308, 2.0**53])
-    n = size // 4 + 1
+    n = size // 5 + 1
+    # j < 8e15 < 2**53, so every tie is a double
+    decade = rng.integers(-4, 15, n)
+    scale = 2.0 ** (17 - decade)
+    j = rng.integers(np.ceil(10.0**decade * scale).astype(np.int64), (10.0 ** (decade + 1) * scale).astype(np.int64))
     kinds = np.concatenate([
         10.0 ** rng.uniform(-4, 15, n) * rng.choice([-1.0, 1.0], n),
         rng.integers(10**14, 14 * 10**13, n) + rng.integers(0, 8, n) / 8,
+        (j | 1) / scale * rng.choice([-1.0, 1.0], n),
         rng.integers(-(10**6), 10**6, n).astype(float),
         rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
     ])
