@@ -10,6 +10,23 @@ many steps in real-FFT middle products.  That is the order of the recursion
 that marches [lo, mid), adds p[lo:mid] to [mid, hi), then marches [mid, hi),
 and each of the log2(N / L) sizes costs O(N log N): O(N log^2 N) in all.
 
+The wide sums run out of cache: an rfft/irfft pair costs 14-18 ns a point
+from 2,048 to 16,384 points and 28-73 ns from 32,768 to 262,144 (best of 15,
+three runs, 2 vCPUs).  So a sum whose sources span ``_PIECE`` = 8,192 to
+``_KEPT`` * ``_PIECE`` = 131,072 steps runs in pieces of ``_PIECE`` points,
+Gardner's partitioned convolution (J. Audio Eng. Soc. 43, 1995, 127): each
+source piece is transformed once, at 16,384 points, and kept for the wider
+sums that read it; the spectra of the kernel slices are kept by lag; and
+each target piece sums its products with every source piece before it and
+takes one inverse transform, when the march reaches it.  A march keeps at
+most 16 source spectra, 31 kernel spectra and 15 waiting sums of 8,193 bins
+(8 MB), beside one kernel spectrum per FFT length outside the pieces.  A
+wider sum stays one middle product, since products of pieces would grow as
+N^2 / ``_PIECE``.  The five ``long_horizon`` marches took 103-116 -> 88-106
+ms, the 156,559-step one 56-64 -> 47-55 ms (best of 15, interleaved with
+the doubling alone, four sessions); 1e6 and 3e6 steps took 0.47-0.54 ->
+0.42-0.49 s and 1.70-1.94 -> 1.54-1.83 s (best of 3, three sessions).
+
 Inside a leaf the update is linear with constant coefficients, so the leaf
 is one unit lower-triangular Toeplitz system for the increments
 v[m] = p[lo+1+m] - p[lo+m].  Its inverse column is formed once per march,
@@ -29,6 +46,8 @@ import numpy as np
 
 _OVERFLOW_GUARD = 1e6
 _LEAF = 256  # steps solved as one Toeplitz system; the FFTs take over above it
+_PIECE = 8192  # points per piece of a wide history sum
+_KEPT = 16  # source-piece spectra kept: a call up to _KEPT pieces wide splits into pieces
 
 
 def backend_name() -> str:
@@ -57,7 +76,7 @@ def march(h, ks, ka_int, n_steps):
         return p, cut
     hist = 0.5 * p[0] * ks[1 : n_steps + 1]  # trapezoid endpoint at t' = 0
     consts = _leaf_constants(h, ks, ka_int, n_steps)
-    f_prev, spectra = 0.0, {}  # the stored forcing, and the kernel spectra by FFT length
+    f_prev, kernels, sources, targets = 0.0, {}, {}, {}  # the stored forcing, and the spectra _add_history keeps
     for j, lo in enumerate(range(0, n_steps, _LEAF), 1):
         hi = min(lo + _LEAF, n_steps)
         f_prev, bad = _march_leaf(h, ks, ka_int, p, hist, lo, hi, f_prev, consts)
@@ -65,7 +84,7 @@ def march(h, ks, ka_int, n_steps):
             return p, bad
         if hi < n_steps:
             width = _LEAF * (j & -j)
-            _add_history(ks, p, hist, hi - width, hi, min(hi + width, n_steps), spectra)
+            _add_history(ks, p, hist, hi - width, hi, min(hi + width, n_steps), kernels, sources, targets)
     return p, cut
 
 
@@ -97,32 +116,60 @@ def _leaf_constants(h, ks, ka_int, n_steps):
     return w, u, (0.5 * h) * (ka_int[:n_steps] + ka_int[1 : n_steps + 1])
 
 
-def _add_history(ks, p, hist, lo, mid, hi, spectra):
+def _add_history(ks, p, hist, lo, mid, hi, kernels, sources, targets):
     """Add sum_{j in [max(lo, 1), mid)} ks[n+1-j] p[j] to hist[n] for n in [mid, hi).
 
-    The FFT length n_fft is the power of two >= 2 * max(hi - mid, _LEAF), so
-    it stays short where the grid end clips [mid, hi), and the sources are
-    taken in chunks [s0, s1) of up to n_fft - (hi - mid) values.  Each chunk
-    is a middle product: the circular convolution of p[s0:s1] with
-    ks[d + 1 : d + n_fft + 1], d = mid - s1, is exact at the indices kept.
-    The spectrum of ks[1 : n_fft + 1] (d = 0) serves every call with the
-    same n_fft, so it is kept in ``spectra``.
+    The call splits into source pieces of n_src points that end at mid and
+    target pieces of n_dst points that start there, n_src + n_dst = n_fft.
+    Both are ``_PIECE`` when the sources span at most ``_KEPT`` pieces and
+    the call at least two, or a piece sum waits at mid: a call one piece
+    wide whose target the grid end clips, with nothing waiting, would
+    compute spectra that no call reuses.  Otherwise n_dst = hi - mid and
+    n_fft is the power of two >= 2 * max(n_dst, _LEAF): one target piece,
+    and one source piece unless the grid end clips the target.  Target piece
+    [t0, t0 + n_dst) takes from source piece [s1 - n_src, s1) the middle
+    product of its values, zero before max(lo, 1), with
+    ks[d + 1 : d + n_fft + 1], d = t0 - s1: their circular convolution is
+    exact in the window [n_src, n_fft).  A target piece sums its products as
+    spectra and takes one inverse FFT, clipped at hi, once the march reaches
+    it: a piece past mid waits in ``targets`` for the calls at its own
+    start, which add to the same sum.  ``kernels`` keeps the kernel spectra
+    by (n_fft, d), every d of the pieces and d = 0 otherwise; ``sources``
+    the spectra of source pieces of ``_PIECE`` points by start, the last
+    ``_KEPT`` of them, all that a call split into pieces reads.
     """
-    width = hi - mid
-    n_fft = 1 << (2 * max(width, _LEAF) - 1).bit_length()
-    chunk = n_fft - width
-    for s1 in range(mid, max(lo, 1), -chunk):
-        s0 = max(s1 - chunk, lo, 1)
-        d = mid - s1
-        kernel = spectra.get(n_fft) if d == 0 else None
-        if kernel is None:
-            kernel = np.fft.rfft(ks[d + 1 : d + n_fft + 1], n_fft)
-            if d == 0:
-                spectra[n_fft] = kernel
-        spec = np.fft.rfft(p[s0:s1], n_fft)
-        spec *= kernel
-        conv = np.fft.irfft(spec, n_fft)
-        hist[mid:hi] += conv[s1 - s0 : s1 - s0 + width]
+    pieces = mid - lo <= _KEPT * _PIECE and (2 * _PIECE <= hi - lo or mid in targets)
+    n_dst = _PIECE if pieces else hi - mid
+    n_fft = 2 * _PIECE if pieces else 1 << (2 * max(n_dst, _LEAF) - 1).bit_length()
+    n_src = n_fft - n_dst
+    first = max(lo, 1)
+    for t0 in range(mid, hi, n_dst):
+        acc = targets.pop(t0, None)
+        for s1 in range(mid, first, -n_src):
+            s0, d = s1 - n_src, t0 - s1
+            spec = sources.get(s0) if pieces else None
+            if spec is None:
+                seg = p[s0:s1] if s0 >= first else np.concatenate((np.zeros(first - s0), p[first:s1]))
+                spec = np.fft.rfft(seg, n_fft)
+                if pieces:
+                    sources[s0] = spec
+                    if len(sources) > _KEPT:
+                        del sources[min(sources)]
+            kernel = kernels.get((n_fft, d))
+            if kernel is None:
+                kernel = np.fft.rfft(ks[d + 1 : d + n_fft + 1], n_fft)
+                if pieces or d == 0:
+                    kernels[n_fft, d] = kernel
+            prod = spec * kernel if pieces else np.multiply(spec, kernel, out=spec)  # a plain spectrum is read once
+            if acc is None:
+                acc = prod
+            else:
+                acc += prod
+        if t0 > mid:  # a later piece: the calls up to its own start add to it first
+            targets[t0] = acc
+        else:
+            t1 = min(t0 + n_dst, hi)
+            hist[t0:t1] += np.fft.irfft(acc, n_fft)[n_src : n_src + t1 - t0]
 
 
 def _march_leaf(h, ks, ka_int, p, hist, lo, hi, f_prev, consts):

@@ -350,7 +350,8 @@ def residue_sums(p: SystemParams, scales: DerivedScales) -> Callable:
         nu = nu_1 * np.arange(1, last + 1)
         far_rel = 4.0 * (((om1 + abs(pole)) / (nu_1 * last)) ** 2 + 1.0 / last**2)
         part, far_err = np.zeros(t.shape), np.zeros(t.shape)
-        inv_sq = 1.0 / (t * t)
+        with np.errstate(over="ignore"):  # past tau ~ 1e154, t*t is inf and its inverse the right 0
+            inv_sq = 1.0 / (t * t)
         scale = np.ones(t.shape)  # (2j-1)!/tau^{2j}
         for j in range(1, _TAIL_TERMS + 2):
             scale = scale * inv_sq * ((2 * j - 1) * (2 * j - 2) if j > 1 else 1.0)

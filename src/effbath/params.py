@@ -222,7 +222,7 @@ def convert_couplings(p: SystemParams) -> tuple[float, float]:
 def load_config(path) -> dict[str, float]:
     """Read a flat key=value config file; '#' starts a comment, and a bad line raises ValueError naming it."""
     out: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:

@@ -386,6 +386,18 @@ def test_a_bad_grid_is_a_usage_error(tmp_path, tmp_path_factory, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_tau_whose_square_overflows_is_one_error_line(tmp_path, capsys):
+    # tau = 1e300 squares to inf in the residue tail, whose 1/tau^2 is then the right 0; the
+    # run stops on its error bound alone, and no numpy warning comes before that line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["correlation", "--tau-max", "1e300", "--points", "3", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("effbath: error: correlation residues at tau = 1e+300") and err.count("\n") == 1
+    assert not caught and "Warning" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_figure_tag_usage_error():
     with pytest.raises(SystemExit):
         main(["figure", "fig99"])

@@ -295,6 +295,48 @@ def test_march_does_not_depend_on_the_leaf_size(monkeypatch, direct_sums, leaf):
         assert _first_bad_step(accel.march, ks0) == _first_bad_step(_reference_march, ks0)
 
 
+@pytest.mark.parametrize("piece", [32, 64])
+def test_march_does_not_depend_on_the_piece_size(monkeypatch, direct_sums, piece):
+    # at 16-step leaves the 5003-step marches add histories 16 to 4096 steps wide: as one
+    # middle product below the piece, in pieces up to _KEPT of them wide, and as one past that;
+    # the biased 1000-step march ends on a call one piece wide whose target the grid end clips,
+    # with the sum of a wider call waiting at its start, and at 32 the 1070-step one without
+    monkeypatch.setattr(accel, "_LEAF", 16)
+    monkeypatch.setattr(accel, "_PIECE", piece)
+    assert 4096 > accel._KEPT * piece
+    biased = build_params({**FIGURE_PARAMS["fig3"], "epsilon": 0.1})
+    short = [_march_inputs(biased, n_steps) for n_steps in (1000, 1070)]
+    for inputs, p_ref, bound in [*direct_sums, *((inputs, _reference_march(*inputs)[0], 1e-12) for inputs in short)]:
+        p, bad = accel.march(*inputs)
+        assert bad == -1
+        assert np.abs(p - p_ref).max() <= bound
+    for ks0 in (-25.0, -4.0):
+        assert _first_bad_step(accel.march, ks0) == _first_bad_step(_reference_march, ks0)
+
+
+def test_the_pieces_keep_the_doubling_at_the_benchmark_length(monkeypatch):
+    # the benchmark's biased 156,559-step march adds histories 8,192 to 131,072 steps wide in
+    # pieces; it keeps at most _KEPT source and 2 * _KEPT - 1 kernel spectra of them, and a
+    # piece past N gives back the plain doubling, one middle product per call
+    inputs = _march_inputs(build_params({**FIGURE_PARAMS["fig3"], "epsilon": 0.1}), 156_559)
+    kept = []
+    add_history = accel._add_history
+
+    def counted(ks, p, hist, lo, mid, hi, kernels, sources, targets):
+        add_history(ks, p, hist, lo, mid, hi, kernels, sources, targets)
+        kept.append((sum(n_fft == 2 * accel._PIECE for n_fft, _ in kernels), len(sources)))
+
+    monkeypatch.setattr(accel, "_add_history", counted)
+    p, bad = accel.march(*inputs)
+    assert bad == -1
+    assert max(kernel for kernel, _ in kept) <= 2 * accel._KEPT - 1
+    assert max(source for _, source in kept) == accel._KEPT
+    monkeypatch.setattr(accel, "_PIECE", inputs[3] + 1)
+    plain, bad = accel.march(*inputs)
+    assert bad == -1
+    assert np.abs(p - plain).max() <= 1e-12
+
+
 @pytest.mark.parametrize(
     "where, lag",
     [("ks", 50), ("ks", 3 * _LEAF + 7), ("ka_int", 50)],

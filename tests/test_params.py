@@ -227,3 +227,8 @@ def test_load_config(tmp_path):
     word.write_text("Omega=1\ng = abc\n")
     with pytest.raises(ValueError, match=re.escape(f"{word}:2: g = 'abc' is not a number")):
         load_config(word)
+
+    # editors that save "UTF-8 with BOM" put U+FEFF before the first key; it is not part of it
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes("\ufeffOmega = 1.0\ng=0.18\n".encode("utf-8"))
+    assert load_config(bom) == {"Omega": 1.0, "g": 0.18}
